@@ -98,7 +98,7 @@ class ZeroEDRunner:
         return self._memo(("samples", cfg.seed, cfg.n_prompt_samples), build)
 
     def _criteria(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("criteria", cfg.model, k_eff, cfg.seed)
+        key = ("criteria", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
 
         def build():
             llm = SimulatedLLM(cfg.model, cfg.seed)
@@ -115,8 +115,13 @@ class ZeroEDRunner:
 
         return self._memo(key, build)
 
+    @staticmethod
+    def _criteria_key(cfg: ZeroEDConfig) -> tuple:
+        """The config fields the criteria features depend on (none without them)."""
+        return (cfg.model, cfg.n_prompt_samples) if cfg.use_criteria else ()
+
     def _features(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("features", cfg.model if cfg.use_criteria else "-", cfg.use_criteria, k_eff, cfg.seed)
+        key = ("features", self._criteria_key(cfg), k_eff, cfg.seed)
 
         def build():
             usage = Usage()
@@ -126,31 +131,28 @@ class ZeroEDRunner:
             else:
                 criteria = {a: [] for a in self.ds.attrs}
             ctx = build_context(self._stats(), self._related(k_eff), criteria)
-            fsdf = features_sdf(self.sdf, ctx).cache()
-            row_ids, mats = collect_feature_matrices(fsdf, self.ds.attrs)
-            return {"ctx": ctx, "fsdf": fsdf, "row_ids": row_ids, "mats": mats, "usage": usage}
+            # one toPandas action reads the featurized table, so it is not cached
+            row_ids, mats = collect_feature_matrices(features_sdf(self.sdf, ctx), self.ds.attrs)
+            return {"ctx": ctx, "row_ids": row_ids, "mats": mats, "usage": usage}
 
         return self._memo(key, build)
 
     def _clustering(self, cfg: ZeroEDConfig, k_eff: int):
         feats = self._features(cfg, k_eff)
-        key = ("clusters", cfg.model if cfg.use_criteria else "-", cfg.use_criteria,
-               k_eff, cfg.sampling, cfg.label_rate, cfg.seed)
+        key = ("clusters", self._criteria_key(cfg), k_eff, cfg.sampling, cfg.label_rate, cfg.seed)
 
         def build():
             n = len(self.ds.dirty)
             s = max(2, int(n * cfg.label_rate))
             return {
-                a: cluster_attribute(
-                    cfg.sampling, feats["fsdf"], a, feats["mats"][a], s, cfg.seed
-                )
+                a: cluster_attribute(cfg.sampling, feats["mats"][a], s, cfg.seed)
                 for a in self.ds.attrs
             }
 
         return self._memo(key, build)
 
     def _guidelines(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("guidelines", cfg.model, k_eff, cfg.seed)
+        key = ("guidelines", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
 
         def build():
             llm = SimulatedLLM(cfg.model, cfg.seed)
@@ -160,8 +162,8 @@ class ZeroEDRunner:
         return self._memo(key, build)
 
     def _labels(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("labels", cfg.model, cfg.use_criteria, k_eff, cfg.sampling,
-               cfg.label_rate, cfg.use_guidelines, cfg.seed)
+        key = ("labels", cfg.model, self._criteria_key(cfg), k_eff, cfg.sampling,
+               cfg.label_rate, cfg.use_guidelines, cfg.n_prompt_samples, cfg.batch_size, cfg.seed)
 
         def build():
             usage = Usage()
@@ -206,8 +208,9 @@ class ZeroEDRunner:
         }
         usage.merge(llm.usage)
 
-        mask = train_predict_all(
-            self.spark, feats["ctx"], training, feats["mats"],
+        # the pool goes by keyword: perfbench/spans.py counts it from kwargs["training"]
+        mask, detector = train_predict_all(
+            feats["ctx"], training=training, feat_mats=feats["mats"],
             hidden=cfg.mlp_hidden, max_iter=cfg.mlp_max_iter, seed=cfg.seed,
         )
         metrics = prf(mask, self.ds.error_mask)
@@ -216,13 +219,9 @@ class ZeroEDRunner:
             "n_labeled": {a: len(l) for a, l in labels.items()},
             "n_synth": {a: len(t.synth_rows) for a, t in training.items()},
             "n_evicted": {a: t.n_evicted for a, t in training.items()},
+            "detector": detector,
         }
         return ZeroEDResult(mask=mask, usage=usage, metrics=metrics, diagnostics=diagnostics)
-
-
-def run_zeroed(spark: SparkSession, dataset: Dataset, cfg: ZeroEDConfig | None = None) -> ZeroEDResult:
-    """One-shot convenience wrapper around :class:`ZeroEDRunner`."""
-    return ZeroEDRunner(spark, dataset).run(cfg or ZeroEDConfig())
 
 
 def ablation_configs(base: ZeroEDConfig) -> dict[str, ZeroEDConfig]:

@@ -4,25 +4,27 @@ For each attribute, the cell-feature space is partitioned into
 ``s = n * label_rate`` clusters and the point nearest each centroid is the
 representative the LLM labels. Three methods are compared in Table VI:
 
-* ``kmeans`` — MLlib ``KMeans`` over the featurized Spark DataFrame (the
-  default; scalable, favors dense regions),
-* ``agc`` — average-linkage agglomerative clustering (driver-side
-  Lance-Williams over the collected feature matrix; the paper's
-  AGC baseline),
+* ``kmeans`` — k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) and
+  Lloyd iterations over the collected feature matrix (the default; favors
+  dense regions),
+* ``agc`` — average-linkage agglomerative clustering (Lance-Williams
+  updates; the paper's AGC baseline),
 * ``random`` — random partition of rows into s groups with a random
   representative each (the paper's random-sampling baseline; label
   propagation over these arbitrary groups is what degrades it).
+
+All three run with numpy on the driver, where
+:func:`repro.features.assemble.collect_feature_matrices` already put every
+attribute's matrix; a few thousand rows cluster in milliseconds, so no
+Spark job is issued.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.ml.clustering import KMeans
-from pyspark.ml.functions import array_to_vector
-from pyspark.sql import DataFrame, functions as F
 
-from repro.datasets.base import ROW_ID
+KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 
 
 @dataclass
@@ -48,25 +50,42 @@ def _nearest_to_center(X: np.ndarray, assign: np.ndarray, centers: dict[int, np.
     return reps
 
 
-def kmeans_clustering(
-    feat_sdf: DataFrame, attr: str, X: np.ndarray, k: int, seed: int
-) -> AttrClustering:
-    """MLlib k-means over the featurized DataFrame; centroid-nearest reps."""
+def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, rows of ``X`` × rows of ``C``."""
+    d = (X**2).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :]
+    return np.maximum(d, 0.0)
+
+
+def kmeans_clustering(X: np.ndarray, k: int, seed: int) -> AttrClustering:
+    """k-means++ seeding, then Lloyd iterations until the assignment is stable
+    (at most ``KMEANS_MAX_ITER``).
+
+    ``k`` is capped at the number of rows and of distinct rows, so every
+    seed is a distinct point. Representatives are centroid-nearest.
+    """
     n = X.shape[0]
-    k = max(2, min(k, n))
-    vec_df = feat_sdf.select(
-        ROW_ID, array_to_vector(F.col(f"f_{attr}")).alias("features")
-    )
-    model = KMeans(k=k, seed=seed, maxIter=20).fit(vec_df)
-    pred = (
-        model.transform(vec_df)
-        .select(ROW_ID, "prediction")
-        .toPandas()
-        .sort_values(ROW_ID)
-    )
-    assign = pred["prediction"].to_numpy()
-    centers = {i: c for i, c in enumerate(model.clusterCenters())}
-    return AttrClustering(assign, _nearest_to_center(X, assign, centers))
+    k = max(1, min(k, n, len(np.unique(X, axis=0))))
+    g = np.random.default_rng(seed)
+    # seeding distances are taken directly, not by the dot-product expansion,
+    # so that only rows equal to a chosen seed read exactly 0
+    seeds = [X[g.integers(n)]]
+    d2 = ((X - seeds[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        c = X[g.choice(n, p=d2 / d2.sum())]
+        seeds.append(c)
+        d2 = np.minimum(d2, ((X - c) ** 2).sum(axis=1))
+    C = np.vstack(seeds)
+    assign = None
+    for _ in range(KMEANS_MAX_ITER):
+        new = np.argmin(_sq_dists(X, C), axis=1)
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        for c in range(k):
+            members = assign == c
+            if members.any():  # an emptied cluster keeps its last center
+                C[c] = X[members].mean(axis=0)
+    return AttrClustering(assign, _nearest_to_center(X, assign, dict(enumerate(C))))
 
 
 def agglomerative_clustering(X: np.ndarray, k: int) -> AttrClustering:
@@ -114,16 +133,9 @@ def random_clustering(n: int, k: int, seed: int) -> AttrClustering:
     return AttrClustering(assign, reps)
 
 
-def cluster_attribute(
-    method: str,
-    feat_sdf: DataFrame,
-    attr: str,
-    X: np.ndarray,
-    k: int,
-    seed: int,
-) -> AttrClustering:
+def cluster_attribute(method: str, X: np.ndarray, k: int, seed: int) -> AttrClustering:
     if method == "kmeans":
-        return kmeans_clustering(feat_sdf, attr, X, k, seed)
+        return kmeans_clustering(X, k, seed)
     if method == "agc":
         return agglomerative_clustering(X, k)
     if method == "random":

@@ -57,9 +57,8 @@ def test_kmeans_clustering_spark(spark, hospital_sdf, hospital_tiny, hospital_st
     from repro.features.correlation import top_related
 
     ctx = build_context(hospital_stats, top_related(hospital_stats, 1), {a: [] for a in hospital_stats.attrs})
-    fsdf = features_sdf(hospital_sdf, ctx).cache()
-    _, mats = collect_feature_matrices(fsdf, hospital_tiny.attrs)
-    res = kmeans_clustering(fsdf, "city", mats["city"], 8, seed=0)
+    _, mats = collect_feature_matrices(features_sdf(hospital_sdf, ctx), hospital_tiny.attrs)
+    res = kmeans_clustering(mats["city"], 8, seed=0)
     n = len(hospital_tiny.dirty)
     assert res.assignments.shape == (n,)
     assert 2 <= len(set(res.assignments)) <= 8
@@ -76,7 +75,48 @@ def test_kmeans_clustering_spark(spark, hospital_sdf, hospital_tiny, hospital_st
 
 def test_cluster_attribute_dispatch():
     X = _blobs()
-    assert len(cluster_attribute("random", None, "a", X, 5, 0).representatives) <= 5
-    assert len(set(cluster_attribute("agc", None, "a", X, 3, 0).assignments)) == 3
+    assert len(cluster_attribute("random", X, 5, 0).representatives) <= 5
+    assert len(set(cluster_attribute("agc", X, 3, 0).assignments)) == 3
     with pytest.raises(ValueError):
-        cluster_attribute("bogus", None, "a", X, 3, 0)
+        cluster_attribute("bogus", X, 3, 0)
+
+
+def test_kmeans_fewer_rows_than_clusters():
+    X = _blobs(n=5)
+    res = kmeans_clustering(X, 50, seed=0)
+    assert res.assignments.shape == (5,)
+    assert len(set(res.assignments)) == 5
+    assert sorted(res.rep_positions) == list(range(5))
+
+
+def test_kmeans_identical_rows():
+    X = np.ones((20, 3))
+    res = kmeans_clustering(X, 4, seed=0)
+    assert set(res.assignments) == {0}
+    assert len(res.representatives) == 1
+
+
+def test_kmeans_clusters_at_most_distinct_rows():
+    base = _blobs(n=6)
+    X = np.vstack([base] * 5)  # 30 rows, 6 distinct
+    res = kmeans_clustering(X, 10, seed=3)
+    assert len(set(res.assignments)) <= 6
+    assert len(res.representatives) <= 6
+    for c, rep in res.representatives.items():
+        assert res.assignments[rep] == c
+
+
+def test_kmeans_seed_determinism():
+    X = np.random.default_rng(4).normal(size=(120, 5))
+    a = kmeans_clustering(X, 9, seed=11)
+    b = kmeans_clustering(X, 9, seed=11)
+    assert (a.assignments == b.assignments).all()
+    assert a.representatives == b.representatives
+
+
+def test_kmeans_separates_blobs():
+    X = _blobs()
+    res = kmeans_clustering(X, 2, seed=0)
+    assert len(set(res.assignments[:30])) == 1
+    assert len(set(res.assignments[30:])) == 1
+    assert res.assignments[0] != res.assignments[-1]

@@ -77,3 +77,36 @@ def test_sampling_methods_run(hospital_runner):
 def test_weak_model_underperforms(hospital_runner, hospital_result):
     weak = hospital_runner.run(ZeroEDConfig(label_rate=0.1, model="gpt-4o-mini"))
     assert weak.metrics["f1"] < hospital_result.metrics["f1"]
+
+
+def _assert_same_result(warm, cold):
+    assert warm.mask.equals(cold.mask)
+    assert warm.metrics == cold.metrics
+    wu, cu = warm.usage, cold.usage
+    assert (wu.prompt_tokens, wu.completion_tokens, wu.calls, wu.by_purpose) == (
+        cu.prompt_tokens, cu.completion_tokens, cu.calls, cu.by_purpose
+    )
+
+
+@pytest.mark.parametrize("field, first, second", [
+    ("batch_size", 20, 5),
+    ("n_prompt_samples", 20, 8),
+])
+def test_warm_runner_matches_cold_when_field_changes(spark, hospital_tiny, field, first, second):
+    from repro.core.zeroed import ZeroEDRunner
+
+    warm = ZeroEDRunner(spark, hospital_tiny)
+    warm.run(ZeroEDConfig(label_rate=0.1, **{field: first}))
+    cfg = ZeroEDConfig(label_rate=0.1, **{field: second})
+    _assert_same_result(warm.run(cfg), ZeroEDRunner(spark, hospital_tiny).run(cfg))
+
+
+def test_detector_convergence_recorded(hospital_result, hospital_tiny):
+    det = hospital_result.diagnostics["detector"]
+    assert set(det) == set(hospital_tiny.attrs)
+    for fit in det.values():
+        if fit["steps"]:
+            assert fit["steps"] == ZeroEDConfig().mlp_max_iter
+            assert 0.0 <= fit["loss"] < float("inf")
+        else:
+            assert fit["loss"] is None
