@@ -2,20 +2,26 @@
 
 :class:`ZeroEDRunner` wires the four steps — feature representation,
 clustering-based sampling + LLM labeling, training-data construction, and
-MLP detection — over one dataset, with *stage caching*: every stage's
-output (and the LLM token usage it incurred) is memoized under a key of
-exactly the config fields it depends on, so the Table IV ablations and
-Table V/VI sweeps share the stages their configs don't change. Cached LLM
-usage is re-merged into each run's total, so reported token costs match a
-cold run.
+MLP detection — over one dataset, with *stage caching*. Each cached stage
+declares once, in :data:`STAGES`, the config fields and the upstream stages
+it reads; its cache key is derived from them, so the Table IV ablations and
+Table V/VI sweeps share the stages their configs don't change. A cache
+entry also records the LLM token usage of its stage and of every stage it
+read, and a run is charged each stage's usage once, so a run served from
+the cache reports the token cost of a cold run.
 
 Ablation flags map to Table IV rows: ``use_guidelines`` (w/o Guid.),
 ``use_criteria`` (w/o Crit.), ``use_correlated`` (w/o Corr.),
-``use_verification`` (w/o Veri.).
+``use_verification`` (w/o Veri.). The settings the paper fixes and no
+experiment varies are constants: :data:`N_RELATED`,
+:data:`N_PROMPT_SAMPLES`, and the labeling batch size and detector shape
+defaults of :func:`~repro.labeling.labeler.label_representatives` and
+:func:`~repro.training.classifier.train_predict_attribute`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pandas as pd
@@ -29,7 +35,7 @@ from repro.features.assemble import (
     features_sdf,
 )
 from repro.features.correlation import top_related
-from repro.features.stats import collect_stats
+from repro.features.stats import DatasetStats, collect_stats
 from repro.labeling.guidelines import make_guidelines
 from repro.labeling.labeler import label_representatives
 from repro.llm.model import SimulatedLLM
@@ -41,23 +47,40 @@ from repro.training.classifier import train_predict_all
 from repro.training.construct import construct_training_data
 
 
+# Settings the paper fixes (§IV-A): k correlated attributes per attribute,
+# and the tuples sampled into the criteria and guideline prompts.
+N_RELATED = 2
+N_PROMPT_SAMPLES = 20
+
+
 @dataclass(frozen=True)
 class ZeroEDConfig:
     """Default configuration mirrors the paper's (§IV-A implementation)."""
 
     model: str = "qwen2.5-72b"
     label_rate: float = 0.05  # clustering number = data_size * label_rate
-    n_related: int = 2
     sampling: str = "kmeans"  # kmeans | agc | random
     use_guidelines: bool = True
     use_criteria: bool = True
     use_correlated: bool = True
     use_verification: bool = True
-    batch_size: int = 20
-    n_prompt_samples: int = 20
-    mlp_hidden: int = 16
-    mlp_max_iter: int = 60
     seed: int = 0
+
+
+# Each cached stage's declaration: the ZeroEDConfig fields it reads and the
+# upstream stages it reads. A stage's cache key is derived from exactly
+# these (ZeroEDRunner._key), and its builder, ZeroEDRunner._build_<stage>,
+# sees nothing else.
+STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "stats": ((), ()),
+    "related": (("use_correlated",), ("stats",)),
+    "samples": (("seed",), ()),
+    "criteria": (("model", "seed"), ("related", "samples")),
+    "features": (("use_criteria",), ("stats", "related", "criteria")),
+    "clusters": (("sampling", "label_rate", "seed"), ("features",)),
+    "guidelines": (("model", "seed"), ("stats", "related", "samples")),
+    "labels": (("model", "use_guidelines", "seed"), ("clusters", "related", "guidelines")),
+}
 
 
 @dataclass
@@ -77,127 +100,103 @@ class ZeroEDRunner:
         self.sdf = dataset.dirty_spark(spark).cache()
         self._cache: dict = {}
 
+    @property
+    def stats(self) -> DatasetStats:
+        """The dataset's statistics, shared by every config."""
+        return self._stage("stats", ZeroEDConfig())
+
     # ------------------------------------------------------------ stages
-    def _memo(self, key, fn):
+    def _key(self, name: str, cfg: ZeroEDConfig) -> tuple:
+        fields, upstream = STAGES[name]
+        return (
+            name,
+            tuple(getattr(cfg, f) for f in fields),
+            tuple(self._key(u, cfg) for u in upstream),
+        )
+
+    def _stage(self, name: str, cfg: ZeroEDConfig, charged: dict | None = None):
+        """Stage ``name``'s output under ``cfg``, built once per key.
+
+        Each cache entry records, by stage key, the LLM usage of the stage
+        and of every stage it read; ``charged`` receives that record, so a
+        run that hits the cache is charged what a cold run is.
+        """
+        key = self._key(name, cfg)
         if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+            fields, upstream = STAGES[name]
+            usages: dict = {}
 
-    def _stats(self):
-        return self._memo(("stats",), lambda: collect_stats(self.sdf, self.ds.attrs))
+            def read(up: str):
+                if up not in upstream:
+                    raise KeyError(f"stage {name!r} reads undeclared stage {up!r}")
+                return self._stage(up, cfg, usages)
 
-    def _related(self, k: int):
-        return self._memo(("related", k), lambda: top_related(self._stats(), k))
+            c = SimpleNamespace(**{f: getattr(cfg, f) for f in fields})
+            c.llm = SimulatedLLM(c.model, c.seed) if "model" in fields else None
+            value = getattr(self, f"_build_{name}")(c, read)
+            if c.llm is not None:
+                usages[key] = c.llm.usage
+            self._cache[key] = value, usages
+        value, usages = self._cache[key]
+        if charged is not None:
+            charged.update(usages)
+        return value
 
-    def _samples(self, cfg: ZeroEDConfig) -> list[dict]:
-        def build():
-            g = np.random.default_rng(cfg.seed + 7)
-            idx = g.choice(len(self.ds.dirty), min(cfg.n_prompt_samples, len(self.ds.dirty)), replace=False)
-            return self.ds.dirty.iloc[sorted(idx)].to_dict("records")
+    def _build_stats(self, c, read):
+        return collect_stats(self.sdf, self.ds.attrs)
 
-        return self._memo(("samples", cfg.seed, cfg.n_prompt_samples), build)
+    def _build_related(self, c, read):
+        return top_related(read("stats"), N_RELATED if c.use_correlated else 0)
 
-    def _criteria(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("criteria", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
+    def _build_samples(self, c, read) -> list[dict]:
+        g = np.random.default_rng(c.seed + 7)
+        idx = g.choice(len(self.ds.dirty), min(N_PROMPT_SAMPLES, len(self.ds.dirty)), replace=False)
+        return self.ds.dirty.iloc[sorted(idx)].to_dict("records")
 
-        def build():
-            llm = SimulatedLLM(cfg.model, cfg.seed)
-            related = self._related(k_eff)
-            samples = self._samples(cfg)
-            crit = {}
-            for a in self.ds.attrs:
-                crit[a] = llm.complete(
-                    criteria_prompt(a, samples),
-                    lambda a=a: derive_criteria(llm, a, samples, related[a]),
-                    "criteria",
-                )
-            return crit, llm.usage
+    def _build_criteria(self, c, read):
+        related, samples = read("related"), read("samples")
+        return {
+            a: c.llm.complete(
+                criteria_prompt(a, samples),
+                lambda a=a: derive_criteria(c.llm, a, samples, related[a]),
+                "criteria",
+            )
+            for a in self.ds.attrs
+        }
 
-        return self._memo(key, build)
+    def _build_features(self, c, read):
+        criteria = read("criteria") if c.use_criteria else {a: [] for a in self.ds.attrs}
+        ctx = build_context(read("stats"), read("related"), criteria)
+        # one toPandas action reads the featurized table, so it is not cached
+        row_ids, mats = collect_feature_matrices(features_sdf(self.sdf, ctx), self.ds.attrs)
+        return {"ctx": ctx, "row_ids": row_ids, "mats": mats}
 
-    @staticmethod
-    def _criteria_key(cfg: ZeroEDConfig) -> tuple:
-        """The config fields the criteria features depend on (none without them)."""
-        return (cfg.model, cfg.n_prompt_samples) if cfg.use_criteria else ()
+    def _build_clusters(self, c, read):
+        mats = read("features")["mats"]
+        s = max(2, int(len(self.ds.dirty) * c.label_rate))
+        return {a: cluster_attribute(c.sampling, mats[a], s, c.seed) for a in self.ds.attrs}
 
-    def _features(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("features", self._criteria_key(cfg), k_eff, cfg.seed)
+    def _build_guidelines(self, c, read):
+        return make_guidelines(c.llm, read("stats"), read("related"), read("samples"))
 
-        def build():
-            usage = Usage()
-            if cfg.use_criteria:
-                criteria, crit_usage = self._criteria(cfg, k_eff)
-                usage.merge(crit_usage)
-            else:
-                criteria = {a: [] for a in self.ds.attrs}
-            ctx = build_context(self._stats(), self._related(k_eff), criteria)
-            # one toPandas action reads the featurized table, so it is not cached
-            row_ids, mats = collect_feature_matrices(features_sdf(self.sdf, ctx), self.ds.attrs)
-            return {"ctx": ctx, "row_ids": row_ids, "mats": mats, "usage": usage}
-
-        return self._memo(key, build)
-
-    def _clustering(self, cfg: ZeroEDConfig, k_eff: int):
-        feats = self._features(cfg, k_eff)
-        key = ("clusters", self._criteria_key(cfg), k_eff, cfg.sampling, cfg.label_rate, cfg.seed)
-
-        def build():
-            n = len(self.ds.dirty)
-            s = max(2, int(n * cfg.label_rate))
-            return {
-                a: cluster_attribute(cfg.sampling, feats["mats"][a], s, cfg.seed)
-                for a in self.ds.attrs
-            }
-
-        return self._memo(key, build)
-
-    def _guidelines(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("guidelines", cfg.model, cfg.n_prompt_samples, k_eff, cfg.seed)
-
-        def build():
-            llm = SimulatedLLM(cfg.model, cfg.seed)
-            g = make_guidelines(llm, self._stats(), self._related(k_eff), self._samples(cfg))
-            return g, llm.usage
-
-        return self._memo(key, build)
-
-    def _labels(self, cfg: ZeroEDConfig, k_eff: int):
-        key = ("labels", cfg.model, self._criteria_key(cfg), k_eff, cfg.sampling,
-               cfg.label_rate, cfg.use_guidelines, cfg.n_prompt_samples, cfg.batch_size, cfg.seed)
-
-        def build():
-            usage = Usage()
-            clustering = self._clustering(cfg, k_eff)
-            related = self._related(k_eff)
-            if cfg.use_guidelines:
-                guidelines, g_usage = self._guidelines(cfg, k_eff)
-                usage.merge(g_usage)
-            else:
-                guidelines = {a: None for a in self.ds.attrs}
-            llm = SimulatedLLM(cfg.model, cfg.seed)
-            labels = {
-                a: label_representatives(
-                    llm, self.ds.dirty, a, clustering[a].rep_positions,
-                    guidelines[a], related[a], cfg.batch_size,
-                )
-                for a in self.ds.attrs
-            }
-            usage.merge(llm.usage)
-            return labels, usage
-
-        return self._memo(key, build)
+    def _build_labels(self, c, read):
+        clustering, related = read("clusters"), read("related")
+        guidelines = read("guidelines") if c.use_guidelines else {a: None for a in self.ds.attrs}
+        return {
+            a: label_representatives(
+                c.llm, self.ds.dirty, a, clustering[a].rep_positions, guidelines[a], related[a],
+            )
+            for a in self.ds.attrs
+        }
 
     # --------------------------------------------------------------- run
     def run(self, cfg: ZeroEDConfig) -> ZeroEDResult:
-        k_eff = cfg.n_related if cfg.use_correlated else 0
-        usage = Usage()
-        feats = self._features(cfg, k_eff)
-        usage.merge(feats["usage"])
-        clustering = self._clustering(cfg, k_eff)
-        labels, label_usage = self._labels(cfg, k_eff)
-        usage.merge(label_usage)
+        charged: dict = {}
+        feats = self._stage("features", cfg, charged)
+        clustering = self._stage("clusters", cfg, charged)
+        labels = self._stage("labels", cfg, charged)
+        related = self._stage("related", cfg, charged)
 
-        related = self._related(k_eff)
         llm = SimulatedLLM(cfg.model, cfg.seed)
         training = {
             a: construct_training_data(
@@ -206,12 +205,13 @@ class ZeroEDRunner:
             )
             for a in self.ds.attrs
         }
-        usage.merge(llm.usage)
+        usage = Usage()
+        for u in [*charged.values(), llm.usage]:
+            usage.merge(u)
 
         # the pool goes by keyword: perfbench/spans.py counts it from kwargs["training"]
         mask, detector = train_predict_all(
-            feats["ctx"], training=training, feat_mats=feats["mats"],
-            hidden=cfg.mlp_hidden, max_iter=cfg.mlp_max_iter, seed=cfg.seed,
+            feats["ctx"], training=training, feat_mats=feats["mats"], seed=cfg.seed
         )
         metrics = prf(mask, self.ds.error_mask)
         diagnostics = {

@@ -115,7 +115,7 @@ def table3_rows(
     for name in datasets:
         ds = load_dataset(name, n=REPRO_N[name], seed=seed)
         runner = ZeroEDRunner(spark, ds)
-        stats = runner._stats()
+        stats = runner.stats
         for method in methods:
             t0 = time.time()
             if method == "ZeroED":

@@ -87,8 +87,3 @@ class Criterion:
             f"    return passes({self.kind!r}, row[{self.attr!r}], "
             f"params={sorted(self.params)})\n"
         )
-
-
-def evaluate_criteria(criteria: list[Criterion], value: str, row: dict) -> list[float]:
-    """Binary feature vector f_cri: one 0/1 per criterion (1 = passes)."""
-    return [1.0 if c.evaluate(value, row) else 0.0 for c in criteria]

@@ -43,8 +43,3 @@ def embed_value(value: str, dim: int = EMB_DIM) -> tuple[float, ...]:
     if norm > 0:
         vec = vec / norm
     return tuple(vec)
-
-
-def embed_array(values, dim: int = EMB_DIM) -> np.ndarray:
-    """Vectorized helper: (len(values), dim) embedding matrix."""
-    return np.array([embed_value(v, dim) for v in values])

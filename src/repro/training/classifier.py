@@ -130,16 +130,12 @@ def train_predict_all(
     training: dict[str, AttrTrainingData],
     feat_mats: dict[str, np.ndarray],
     *,
-    hidden: int = 16,
-    max_iter: int = 60,
     seed: int = 0,
 ) -> tuple[pd.DataFrame, dict[str, dict]]:
-    """Detection mask (rows × attrs, bool) from per-attribute MLPs, and each
-    attribute's convergence record (see :func:`train_predict_attribute`)."""
+    """Detection mask (rows × attrs, bool) from per-attribute MLPs of the
+    default shape, and each attribute's convergence record (see
+    :func:`train_predict_attribute`)."""
     cols, fits = {}, {}
     for attr, td in training.items():
-        cols[attr], fits[attr] = train_predict_attribute(
-            ctx, attr, td, feat_mats[attr],
-            hidden=hidden, max_iter=max_iter, seed=seed,
-        )
+        cols[attr], fits[attr] = train_predict_attribute(ctx, attr, td, feat_mats[attr], seed=seed)
     return pd.DataFrame(cols), fits

@@ -3,7 +3,6 @@ import pytest
 
 from repro.features.criteria import (
     Criterion,
-    evaluate_criteria,
     is_missing,
     try_float,
 )
@@ -87,14 +86,6 @@ def test_non_dependency_always_applicable():
 def test_missing_value_abstains_on_content_checks():
     c = Criterion("a", "range", "rng", {"lo": 0, "hi": 1})
     assert c.evaluate("", {})  # not_missing owns the missing signal
-
-
-def test_evaluate_criteria_vector():
-    crits = [
-        Criterion("a", "not_missing", "nm"),
-        Criterion("a", "length", "len", {"lo": 1, "hi": 2}),
-    ]
-    assert evaluate_criteria(crits, "abc", {}) == [1.0, 0.0]
 
 
 def test_unknown_kind_raises():

@@ -91,7 +91,7 @@ def test_expected_error_types_present(name):
 
 def test_load_dataset_unknown():
     with pytest.raises(KeyError):
-        load_dataset("nope")
+        load_dataset("nope", n=10)
 
 
 def test_dataset_dirty_spark_rowids(spark, hospital_tiny):

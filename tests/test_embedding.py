@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.features.embedding import EMB_DIM, embed_array, embed_value
+from repro.features.embedding import EMB_DIM, embed_value
 
 
 def _cos(a, b):
@@ -38,11 +38,6 @@ def test_typo_closer_than_unrelated():
 
 def test_case_insensitive_tokenization():
     assert embed_value("Austin TX") == embed_value("austin tx")
-
-
-def test_embed_array_shape():
-    out = embed_array(["a", "bb", "ccc"])
-    assert out.shape == (3, EMB_DIM)
 
 
 def test_different_strings_differ():

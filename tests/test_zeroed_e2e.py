@@ -1,7 +1,11 @@
 """End-to-end ZeroED tests on a tiny hospital instance (session-cached)."""
+import dataclasses
+import inspect
+
 import pytest
 
-from repro.core.zeroed import ZeroEDConfig, ablation_configs
+from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
+from repro.training.classifier import train_predict_attribute
 
 
 def test_mask_shape(hospital_result, hospital_tiny):
@@ -53,17 +57,17 @@ def test_ablations_run(hospital_runner, flag):
 
 
 def test_without_criteria_feature_dim_shrinks(hospital_runner):
-    feats_with = hospital_runner._features(ZeroEDConfig(label_rate=0.1), 2)
-    feats_without = hospital_runner._features(
-        ZeroEDConfig(label_rate=0.1, use_criteria=False), 2
+    feats_with = hospital_runner._stage("features", ZeroEDConfig(label_rate=0.1))
+    feats_without = hospital_runner._stage(
+        "features", ZeroEDConfig(label_rate=0.1, use_criteria=False)
     )
     a = hospital_runner.ds.attrs[0]
     assert feats_without["ctx"].full_dim(a) < feats_with["ctx"].full_dim(a)
 
 
 def test_without_correlated_no_related(hospital_runner):
-    feats = hospital_runner._features(
-        ZeroEDConfig(label_rate=0.1, use_correlated=False), 0
+    feats = hospital_runner._stage(
+        "features", ZeroEDConfig(label_rate=0.1, use_correlated=False)
     )
     assert all(v == [] for v in feats["ctx"].related.values())
 
@@ -88,17 +92,39 @@ def _assert_same_result(warm, cold):
     )
 
 
-@pytest.mark.parametrize("field, first, second", [
-    ("batch_size", 20, 5),
-    ("n_prompt_samples", 20, 8),
-])
-def test_warm_runner_matches_cold_when_field_changes(spark, hospital_tiny, field, first, second):
-    from repro.core.zeroed import ZeroEDRunner
+# One changed value per ZeroEDConfig field, away from the session config.
+WARM_CASES = [
+    ("model", "gpt-4o-mini"),
+    ("label_rate", 0.2),
+    ("sampling", "agc"),
+    ("use_guidelines", False),
+    ("use_criteria", False),
+    ("use_correlated", False),
+    ("use_verification", False),
+    ("seed", 1),
+]
 
-    warm = ZeroEDRunner(spark, hospital_tiny)
-    warm.run(ZeroEDConfig(label_rate=0.1, **{field: first}))
-    cfg = ZeroEDConfig(label_rate=0.1, **{field: second})
-    _assert_same_result(warm.run(cfg), ZeroEDRunner(spark, hospital_tiny).run(cfg))
+
+def test_warm_cases_cover_every_config_field():
+    assert sorted(f for f, _ in WARM_CASES) == sorted(f.name for f in dataclasses.fields(ZeroEDConfig))
+
+
+@pytest.mark.parametrize("field, value", WARM_CASES)
+def test_warm_runner_matches_cold_when_field_changes(
+    spark, hospital_tiny, hospital_runner, hospital_result, field, value
+):
+    cfg = dataclasses.replace(ZeroEDConfig(label_rate=0.1), **{field: value})
+    _assert_same_result(hospital_runner.run(cfg), ZeroEDRunner(spark, hospital_tiny).run(cfg))
+
+
+def test_stage_sees_only_what_it_declares(spark, hospital_tiny, monkeypatch):
+    runner = ZeroEDRunner(spark, hospital_tiny)
+    monkeypatch.setitem(STAGES, "samples", ((), ()))
+    with pytest.raises(AttributeError):
+        runner._stage("samples", ZeroEDConfig())
+    monkeypatch.setitem(STAGES, "related", (("use_correlated",), ()))
+    with pytest.raises(KeyError, match="undeclared stage 'stats'"):
+        runner._stage("related", ZeroEDConfig())
 
 
 def test_detector_convergence_recorded(hospital_result, hospital_tiny):
@@ -106,7 +132,7 @@ def test_detector_convergence_recorded(hospital_result, hospital_tiny):
     assert set(det) == set(hospital_tiny.attrs)
     for fit in det.values():
         if fit["steps"]:
-            assert fit["steps"] == ZeroEDConfig().mlp_max_iter
+            assert fit["steps"] == inspect.signature(train_predict_attribute).parameters["max_iter"].default
             assert 0.0 <= fit["loss"] < float("inf")
         else:
             assert fit["loss"] is None
