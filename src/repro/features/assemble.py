@@ -11,11 +11,16 @@ and the final representation concatenates the base features of the cell's
 own attribute with those of its top-k correlated attributes:
 ``Feat(D[i,j]) = f_base(D[i,j]) ⊕ { f_base(D[i,q]) | a_q ∈ R_{a_j} }``.
 
-Featurization runs as a Spark ``mapInPandas`` pass over the dirty table,
-parameterized by a picklable :class:`FeatureContext` holding the
-(broadcastable) count dictionaries and criteria specs. The same context
-featurizes synthetic augmentation rows on the driver with identical code,
-so training-time and prediction-time features agree by construction.
+A cell's base features read only its own value and the values of its
+attribute's related attributes (the dependency criteria check a related
+attribute), so :func:`featurize_pdf` computes each attribute's base block
+once per distinct key of those values and gathers rows by key; low-
+cardinality attributes cost a handful of evaluations rather than one per
+row. Featurization runs as a Spark ``mapInPandas`` pass over the dirty
+table, parameterized by a picklable :class:`FeatureContext` holding the
+(broadcastable) count dictionaries and criteria specs. The same function
+featurizes synthetic augmentation rows on the driver, so training-time and
+prediction-time features agree by construction.
 """
 from __future__ import annotations
 
@@ -93,20 +98,15 @@ class FeatureContext:
             out.append(1.0 if c.evaluate(value, row) else 0.0)
         return np.asarray(out, dtype=np.float64)
 
-    def full_features(self, attr: str, row: dict) -> np.ndarray:
-        """Feat(D[i,j]) = f_base(own) ⊕ down-weighted f_base(related).
-
-        The related blocks are scaled by ``related_weight`` so that k-means
-        distances in the sampling stage stay dominated by the cell's own
-        error signals — the related attributes' embeddings say little about
-        *this* cell's correctness, and at equal weight (with 2 related
-        attributes they are 2/3 of the dimensions) they wash out cluster
-        purity and with it label propagation.
-        """
-        parts = [self.base_features(attr, row.get(attr, ""), row)]
-        for q in self.related.get(attr, []):
-            parts.append(self.related_weight * self.base_features(q, row.get(q, ""), row))
-        return np.concatenate(parts)
+    def key_attrs(self, attr: str) -> list[str]:
+        """The attributes whose values :meth:`base_features` reads for ``attr``:
+        itself, its related attributes and its dependency criteria's
+        determining attributes."""
+        keys = [attr, *self.related.get(attr, [])]
+        for c in self.criteria.get(attr, []):
+            if c.kind == "dependency" and c.params["other"] not in keys:
+                keys.append(c.params["other"])
+        return keys
 
 
 def build_context(
@@ -137,14 +137,36 @@ def build_context(
     )
 
 
-def featurize_pdf(ctx: FeatureContext, pdf: pd.DataFrame) -> dict[str, np.ndarray]:
-    """Feature matrices {attr: (len(pdf), full_dim)} for a pandas chunk."""
-    rows = pdf.to_dict("records")
+def featurize_pdf(
+    ctx: FeatureContext, pdf: pd.DataFrame, attrs: list[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Feature matrices {attr: (len(pdf), full_dim)} for a pandas chunk.
+
+    ``Feat(D[i,j]) = f_base(own) ⊕ related_weight · f_base(related)``: the
+    related blocks are down-weighted so that k-means distances in the
+    sampling stage stay dominated by the cell's own error signals — the
+    related attributes' embeddings say little about *this* cell's
+    correctness, and at equal weight (with 2 related attributes they are
+    2/3 of the dimensions) they wash out cluster purity and with it label
+    propagation. ``attrs`` defaults to every attribute of ``ctx``.
+    """
+    attrs = ctx.attrs if attrs is None else attrs
+    blocks: dict[str, np.ndarray] = {}
+    for x in dict.fromkeys(b for a in attrs for b in [a, *ctx.related.get(a, [])]):
+        keys = ctx.key_attrs(x)
+        index: dict[tuple, int] = {}
+        codes = np.fromiter(
+            (index.setdefault(k, len(index)) for k in zip(*(pdf[c].tolist() for c in keys))),
+            dtype=np.intp,
+            count=len(pdf),
+        )
+        base = np.zeros((len(index), ctx.base_dim(x)))
+        for i, k in enumerate(index):
+            base[i] = ctx.base_features(x, k[0], dict(zip(keys, k)))
+        blocks[x] = base[codes]
     return {
-        a: np.vstack([ctx.full_features(a, r) for r in rows])
-        if rows
-        else np.zeros((0, ctx.full_dim(a)))
-        for a in ctx.attrs
+        a: np.hstack([blocks[a], *(ctx.related_weight * blocks[q] for q in ctx.related.get(a, []))])
+        for a in attrs
     }
 
 

@@ -6,7 +6,10 @@ generic ``evaluate`` implementation. This keeps criteria picklable so they
 can ship inside Spark ``mapInPandas`` closures, while preserving the
 paper's semantics — executing each criterion over a cell value (plus its
 row context for dependency checks) yields one binary feature per
-criterion: ``True`` = the value passes the check.
+criterion: ``True`` = the value passes the check. A dependency check reads
+one other attribute of the row, ``params["other"]``, drawn from the
+attribute's related set, so featurization evaluates criteria once per
+distinct (value, related values) key rather than once per row.
 """
 from __future__ import annotations
 

@@ -7,29 +7,29 @@ co-occurrence aggregation::
 
     (a1, a2, v1, v2) -> count   for every ordered attribute pair a1 <= a2
 
-computed with ``mapInPandas`` (explode each row into its attribute-pair
-value combinations) followed by one ``groupBy().count()`` shuffle. The
+computed in the JVM by one SQL ``stack`` generator (each row yields one
+``(a1, a2, v1, v2)`` row per attribute pair) followed by one
+``groupBy().count()`` shuffle, so the pass starts no Python worker. The
 diagonal (a1 == a2) gives per-attribute value counts; off-diagonal entries
 give joint distributions. Everything else (pattern counts, null counts,
 numeric summaries) is a pure function of value counts and is derived on
 the driver. Cardinalities are bounded by the (small) table sizes of the
 paper's benchmarks, so collecting the aggregated counts is cheap; the
-raw-data pass stays in Spark and is oracle-checked against DuckDB.
+raw-data pass stays in Spark and is oracle-checked against DuckDB. The
+collected counts are sorted before they fill the dictionaries, so the
+dictionaries' order, and the prompts rendered from it, do not depend on
+the Spark plan or its partitioning.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.datasets.base import ROW_ID
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import PATTERN_LEVELS
-
-_LONG_SCHEMA = "a1 string, a2 string, v1 string, v2 string"
 
 
 def weighted_median(x: np.ndarray, w: np.ndarray) -> float:
@@ -45,27 +45,25 @@ def robust_sd(median: float, mad: float) -> float:
     return sd if sd > 0 else max(1.0, abs(median) * 0.05)
 
 
+def _sql_string(text: str) -> str:
+    """``text`` as a Spark SQL string literal."""
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def _sql_column(name: str) -> str:
+    """``name`` as a quoted Spark SQL column reference."""
+    return "`" + name.replace("`", "``") + "`"
+
+
 def pair_counts_sdf(sdf: DataFrame, attrs: list[str]) -> DataFrame:
-    """Long-format co-occurrence counts ``(a1, a2, v1, v2, cnt)``, a1 <= a2."""
+    """Long-format co-occurrence counts ``(a1, a2, v1, v2, count)``, a1 <= a2."""
     pairs = [(a1, a2) for i, a1 in enumerate(attrs) for a2 in attrs[i:]]
-
-    def explode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            frames = []
-            for a1, a2 in pairs:
-                frames.append(
-                    pd.DataFrame(
-                        {
-                            "a1": a1,
-                            "a2": a2,
-                            "v1": pdf[a1].astype(str),
-                            "v2": pdf[a2].astype(str),
-                        }
-                    )
-                )
-            yield pd.concat(frames, ignore_index=True)
-
-    return sdf.mapInPandas(explode, schema=_LONG_SCHEMA).groupBy(
+    args = ", ".join(
+        f"{_sql_string(a1)}, {_sql_string(a2)}, "
+        f"string({_sql_column(a1)}), string({_sql_column(a2)})"
+        for a1, a2 in pairs
+    )
+    return sdf.selectExpr(f"stack({len(pairs)}, {args}) as (a1, a2, v1, v2)").groupBy(
         "a1", "a2", "v1", "v2"
     ).count()
 
@@ -155,14 +153,15 @@ class DatasetStats:
 def collect_stats(sdf: DataFrame, attrs: list[str] | None = None) -> DatasetStats:
     """Run the Spark aggregation pass and collect into a :class:`DatasetStats`."""
     attrs = attrs or [c for c in sdf.columns if c != ROW_ID]
-    rows = pair_counts_sdf(sdf, attrs).collect()
     value_counts: dict[str, dict[str, int]] = {a: {} for a in attrs}
     joint: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-    for r in rows:
-        if r.a1 == r.a2:
-            if r.v1 == r.v2:  # diagonal: plain value counts
-                value_counts[r.a1][r.v1] = int(r["count"])
+    # the grouping keys are unique, so sorting whole rows orders them by
+    # (a1, a2, v1, v2) whatever order the shuffle returned them in
+    for a1, a2, v1, v2, cnt in sorted(pair_counts_sdf(sdf, attrs).collect()):
+        if a1 == a2:
+            if v1 == v2:  # diagonal: plain value counts
+                value_counts[a1][v1] = cnt
         else:
-            joint.setdefault((r.a1, r.a2), {})[(r.v1, r.v2)] = int(r["count"])
+            joint.setdefault((a1, a2), {})[(v1, v2)] = cnt
     n = sum(value_counts[attrs[0]].values())
     return DatasetStats(n=n, attrs=attrs, value_counts=value_counts, joint=joint)

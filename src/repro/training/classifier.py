@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.features.assemble import FeatureContext
+from repro.features.assemble import FeatureContext, featurize_pdf
 from repro.training.construct import AttrTrainingData
 
 # Adam step size and moment decay rates (Kingma & Ba's defaults except the
@@ -109,7 +109,7 @@ def train_predict_attribute(
     X_parts = [X_full[td.real_positions]] if td.real_positions else []
     y_parts = [np.array(td.real_labels, dtype=float)] if td.real_labels else []
     if td.synth_rows:
-        X_parts.append(np.vstack([ctx.full_features(attr, r) for r in td.synth_rows]))
+        X_parts.append(featurize_pdf(ctx, pd.DataFrame(td.synth_rows), [attr])[attr])
         y_parts.append(np.ones(len(td.synth_rows)))
     constant = {"steps": 0, "loss": None}
     if not X_parts:

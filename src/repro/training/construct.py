@@ -74,22 +74,21 @@ def construct_training_data(
     # Full rows: synthetic variants must featurize with the same context
     # slots (related-of-related vicinity, dependency criteria) as real rows,
     # otherwise the detector can shortcut on "missing context" artifacts.
-    col_idx = {c: dirty.columns.get_loc(c) for c in dirty.columns}
-
-    def row_of(pos: int) -> dict:
-        return {c: dirty.iat[pos, i] for c, i in col_idx.items()}
+    # The dicts are shared, not copied: every reader below only reads them,
+    # and augment_errors copies a row before corrupting it.
+    records = dirty.to_dict("records")
 
     propagated = propagate_labels(clustering, rep_labels)
     td = AttrTrainingData()
 
     refined: list[Criterion] = []
     if use_verification:
-        err_vals = [dirty.iat[p, col_idx[attr]] for p, l in rep_labels.items() if l == 1]
-        cln_vals = [dirty.iat[p, col_idx[attr]] for p, l in rep_labels.items() if l == 0]
+        err_vals = [records[p][attr] for p, l in rep_labels.items() if l == 1]
+        cln_vals = [records[p][attr] for p, l in rep_labels.items() if l == 0]
         clean_positions = [p for p, l in propagated.items() if l == 0]
         # subsample for the LLM context and criterion verification cost
         step = max(1, len(clean_positions) // verify_sample)
-        clean_rows = [row_of(p) for p in clean_positions[::step]]
+        clean_rows = [records[p] for p in clean_positions[::step]]
         refined = refine_criteria(llm, attr, err_vals, cln_vals, clean_rows, related)
         # verify criteria against propagated-clean data (Alg. 1 lines 8–14);
         # pass rates count only cells the criterion is applicable to
@@ -108,7 +107,7 @@ def construct_training_data(
         if refined:
             evicted = set()
             for p in clean_positions:
-                r = row_of(p)
+                r = records[p]
                 decisive = [c for c in refined if c.applicable(r[attr], r)]
                 if not decisive:
                     continue
@@ -126,6 +125,6 @@ def construct_training_data(
         n_err = sum(td.real_labels)
         n_clean = len(td.real_labels) - n_err
         need = min(max(0, n_clean - n_err), max_synth)
-        clean_rows_full = [row_of(p) for p, l in propagated.items() if l == 0]
+        clean_rows_full = [records[p] for p, l in propagated.items() if l == 0]
         td.synth_rows = augment_errors(llm, attr, clean_rows_full, need)
     return td

@@ -1,5 +1,6 @@
 """Tests for the unified feature representation (Spark featurization)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.datasets.base import ROW_ID
@@ -11,6 +12,16 @@ from repro.features.assemble import (
 )
 from repro.features.correlation import top_related
 from repro.features.criteria import Criterion
+from repro.llm.model import SimulatedLLM
+from repro.llm.reasoning import augment_errors, derive_criteria
+
+
+def full_features_reference(ctx, attr, row):
+    """Per-row reference for featurize_pdf: f_base(own) ⊕ weighted f_base(related)."""
+    parts = [ctx.base_features(attr, row.get(attr, ""), row)]
+    for q in ctx.related.get(attr, []):
+        parts.append(ctx.related_weight * ctx.base_features(q, row.get(q, ""), row))
+    return np.concatenate(parts)
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +63,47 @@ def test_features_bounded(feats, ctx):
 
 
 def test_spark_matches_driver_featurization(feats, ctx, hospital_tiny):
-    """mapInPandas output == the same driver-side computation, row by row."""
+    """mapInPandas output == the same driver-side computation, every cell."""
     _, mats = feats
     pdf = hospital_tiny.dirty.copy()
     pdf.insert(0, ROW_ID, range(len(pdf)))
-    local = featurize_pdf(ctx, pdf.head(20))
-    for a in ctx.attrs[:4]:
-        np.testing.assert_allclose(mats[a][:20], local[a], atol=1e-12)
+    local = featurize_pdf(ctx, pdf)
+    for a in ctx.attrs:
+        assert np.array_equal(mats[a], local[a]), a
+
+
+@pytest.fixture(scope="module")
+def derived_ctx(hospital_stats, hospital_tiny):
+    """A context whose criteria come from the LLM, dependency checks included."""
+    related = top_related(hospital_stats, 2)
+    llm = SimulatedLLM(seed=0)
+    samples = hospital_tiny.dirty.sample(40, random_state=0).to_dict("records")
+    criteria = {a: derive_criteria(llm, a, samples, related[a]) for a in hospital_stats.attrs}
+    return build_context(hospital_stats, related, criteria)
+
+
+def test_per_key_matches_per_row_reference(derived_ctx, hospital_tiny):
+    """Features computed once per key equal the per-row computation exactly."""
+    assert any(
+        c.kind == "dependency" for crits in derived_ctx.criteria.values() for c in crits
+    )
+    rows = hospital_tiny.dirty.to_dict("records")
+    mats = featurize_pdf(derived_ctx, hospital_tiny.dirty)
+    for a in derived_ctx.attrs:
+        expected = np.vstack([full_features_reference(derived_ctx, a, r) for r in rows])
+        assert np.array_equal(mats[a], expected), a
+
+
+def test_per_key_matches_per_row_reference_on_synthetic_rows(derived_ctx, hospital_tiny):
+    """Synthetic rows (values absent from the table) featurize as the reference does."""
+    rows = hospital_tiny.dirty.to_dict("records")
+    llm = SimulatedLLM(seed=0)
+    for a in derived_ctx.attrs:
+        synth = augment_errors(llm, a, rows, 30)
+        got = featurize_pdf(derived_ctx, pd.DataFrame(synth), [a])
+        assert list(got) == [a]
+        expected = np.vstack([full_features_reference(derived_ctx, a, r) for r in synth])
+        assert np.array_equal(got[a], expected), a
 
 
 def test_loo_unique_value_scores_zero(ctx):

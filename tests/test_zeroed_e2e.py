@@ -136,3 +136,26 @@ def test_detector_convergence_recorded(hospital_result, hospital_tiny):
             assert 0.0 <= fit["loss"] < float("inf")
         else:
             assert fit["loss"] is None
+
+
+def test_stats_order_and_usage_independent_of_partitioning(spark, flights_tiny):
+    """Prompts render the stats dictionaries in order, so the order (and with
+    it the token count) must not depend on the input's partitioning or the
+    shuffle's."""
+    previous = spark.conf.get("spark.sql.shuffle.partitions")
+    seen = []
+    try:
+        for parts, shuffle in ((1, 1), (4, 8)):
+            spark.conf.set("spark.sql.shuffle.partitions", str(shuffle))
+            runner = ZeroEDRunner(spark, flights_tiny)
+            runner.sdf = runner.sdf.repartition(parts)
+            stats = runner.stats
+            order = (
+                [(a, list(vc.items())) for a, vc in stats.value_counts.items()],
+                [(k, list(j.items())) for k, j in stats.joint.items()],
+            )
+            u = runner.run(ZeroEDConfig()).usage
+            seen.append((order, (u.prompt_tokens, u.completion_tokens, u.calls, u.by_purpose)))
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", previous)
+    assert seen[0] == seen[1]
