@@ -29,11 +29,9 @@ from pyspark.sql import SparkSession
 
 from repro.core.metrics import prf
 from repro.datasets.base import Dataset
-from repro.features.assemble import (
-    build_context,
-    collect_feature_matrices,
-    features_sdf,
-)
+from repro.features.assemble import build_context, collect_feature_matrices
+# features_sdf is off the run path; perfbench/spans.py still traces the name.
+from repro.features.assemble import features_sdf  # noqa: F401
 from repro.features.correlation import top_related
 from repro.features.stats import DatasetStats, collect_stats
 from repro.labeling.guidelines import make_guidelines
@@ -167,9 +165,8 @@ class ZeroEDRunner:
     def _build_features(self, c, read):
         criteria = read("criteria") if c.use_criteria else {a: [] for a in self.ds.attrs}
         ctx = build_context(read("stats"), read("related"), criteria)
-        # one toPandas action reads the featurized table, so it is not cached
-        row_ids, mats = collect_feature_matrices(features_sdf(self.sdf, ctx), self.ds.attrs)
-        return {"ctx": ctx, "row_ids": row_ids, "mats": mats}
+        _, mats = collect_feature_matrices(self.ds.dirty, ctx)
+        return {"ctx": ctx, "mats": mats}
 
     def _build_clusters(self, c, read):
         mats = read("features")["mats"]

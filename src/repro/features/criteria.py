@@ -2,14 +2,14 @@
 
 The (simulated) LLM derives per-attribute criteria as *data*, not code
 strings: each :class:`Criterion` is a small spec (kind + params) with a
-generic ``evaluate`` implementation. This keeps criteria picklable so they
-can ship inside Spark ``mapInPandas`` closures, while preserving the
-paper's semantics — executing each criterion over a cell value (plus its
-row context for dependency checks) yields one binary feature per
-criterion: ``True`` = the value passes the check. A dependency check reads
-one other attribute of the row, ``params["other"]``, drawn from the
-attribute's related set, so featurization evaluates criteria once per
-distinct (value, related values) key rather than once per row.
+generic ``evaluate`` implementation, preserving the paper's semantics —
+executing each criterion over a cell value (plus its row context for
+dependency checks) yields one binary feature per criterion: ``True`` =
+the value passes the check. Only a dependency check reads the row: one
+other attribute, ``params["other"]``, drawn from the attribute's related
+set. Featurization therefore evaluates the other criteria once per
+distinct value, and the dependency checks once per distinct (value,
+related values) key, rather than once per row.
 """
 from __future__ import annotations
 

@@ -29,7 +29,7 @@ KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 
 @dataclass
 class AttrClustering:
-    """Cluster assignment for one attribute, aligned with sorted row_ids."""
+    """Cluster assignment for one attribute, aligned with the table's row positions."""
 
     assignments: np.ndarray  # (n,) cluster id per row position
     representatives: dict[int, int]  # cluster id -> row position of its rep

@@ -1,4 +1,4 @@
-"""Tests for the unified feature representation (Spark featurization)."""
+"""Tests for the unified feature representation (driver featurization and its Spark form)."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -35,9 +35,8 @@ def ctx(hospital_stats):
 
 
 @pytest.fixture(scope="module")
-def feats(spark, hospital_sdf, ctx, hospital_tiny):
-    sdf = features_sdf(hospital_sdf, ctx).cache()
-    return collect_feature_matrices(sdf, hospital_tiny.attrs)
+def feats(ctx, hospital_tiny):
+    return collect_feature_matrices(hospital_tiny.dirty, ctx)
 
 
 def test_dims(ctx):
@@ -62,16 +61,6 @@ def test_features_bounded(feats, ctx):
         assert mats[a].min() >= -1.0 - 1e-9
 
 
-def test_spark_matches_driver_featurization(feats, ctx, hospital_tiny):
-    """mapInPandas output == the same driver-side computation, every cell."""
-    _, mats = feats
-    pdf = hospital_tiny.dirty.copy()
-    pdf.insert(0, ROW_ID, range(len(pdf)))
-    local = featurize_pdf(ctx, pdf)
-    for a in ctx.attrs:
-        assert np.array_equal(mats[a], local[a]), a
-
-
 @pytest.fixture(scope="module")
 def derived_ctx(hospital_stats, hospital_tiny):
     """A context whose criteria come from the LLM, dependency checks included."""
@@ -80,6 +69,18 @@ def derived_ctx(hospital_stats, hospital_tiny):
     samples = hospital_tiny.dirty.sample(40, random_state=0).to_dict("records")
     criteria = {a: derive_criteria(llm, a, samples, related[a]) for a in hospital_stats.attrs}
     return build_context(hospital_stats, related, criteria)
+
+
+def test_spark_matches_driver_featurization(hospital_sdf, derived_ctx, hospital_tiny):
+    """The mapInPandas form equals the run path's driver featurization of the
+    runner's table, every cell, whatever the partitioning."""
+    local = featurize_pdf(derived_ctx, hospital_tiny.dirty)
+    for partitions in (1, 4):
+        sdf = features_sdf(hospital_sdf.repartition(partitions), derived_ctx)
+        pdf = sdf.orderBy(ROW_ID).toPandas()
+        assert pdf[ROW_ID].tolist() == list(range(len(hospital_tiny.dirty)))
+        for a in derived_ctx.attrs:
+            assert np.array_equal(np.vstack(pdf[f"f_{a}"].to_numpy()), local[a]), (partitions, a)
 
 
 def test_per_key_matches_per_row_reference(derived_ctx, hospital_tiny):

@@ -53,11 +53,11 @@ def test_random_representatives_members():
 
 
 def test_kmeans_clustering_spark(spark, hospital_sdf, hospital_tiny, hospital_stats):
-    from repro.features.assemble import build_context, collect_feature_matrices, features_sdf
+    from repro.features.assemble import build_context, collect_feature_matrices
     from repro.features.correlation import top_related
 
     ctx = build_context(hospital_stats, top_related(hospital_stats, 1), {a: [] for a in hospital_stats.attrs})
-    _, mats = collect_feature_matrices(features_sdf(hospital_sdf, ctx), hospital_tiny.attrs)
+    _, mats = collect_feature_matrices(hospital_tiny.dirty, ctx)
     res = kmeans_clustering(mats["city"], 8, seed=0)
     n = len(hospital_tiny.dirty)
     assert res.assignments.shape == (n,)

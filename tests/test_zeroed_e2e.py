@@ -159,3 +159,18 @@ def test_stats_order_and_usage_independent_of_partitioning(spark, flights_tiny):
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", previous)
     assert seen[0] == seen[1]
+
+
+def test_no_spark_job_after_stats(spark, flights_tiny):
+    """Past the statistics pass, a run is driver work: featurization reads the
+    driver-held table, so no stage may start a Spark job (or a Python worker)."""
+    runner = ZeroEDRunner(spark, flights_tiny)
+    runner.stats
+    sc = spark.sparkContext
+    group = "zeroed-after-stats"
+    sc.setJobGroup(group, "a ZeroED run past its stats stage", False)
+    try:
+        runner.run(ZeroEDConfig())
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
