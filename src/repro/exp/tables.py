@@ -20,10 +20,7 @@ from repro.core.zeroed import ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import TABLE3_DATASETS, load_dataset
 from repro.exp import paper_numbers as paper
 
-REPRO_N = {
-    "hospital": 300, "flights": 300, "beers": 300, "rayyan": 300,
-    "billionaire": 300, "movies": 300, "tax": 300,
-}
+REPRO_N = 300
 TABLE5_N = 250
 TOKEN_SIZES = (500, 1000, 2000)
 
@@ -66,7 +63,7 @@ def table2_rows(seed: int = 0) -> list[dict]:
     """Generated-dataset statistics vs the paper's Table II."""
     rows = []
     for name, (p_n, p_attrs, p_err) in paper.PAPER_TABLE2.items():
-        ds = load_dataset(name, n=REPRO_N[name], seed=seed)
+        ds = load_dataset(name, n=REPRO_N, seed=seed)
         by_type = ds.error_rate_by_type()
         rows.append(
             {
@@ -113,7 +110,7 @@ def table3_rows(
     methods = methods or BASELINES + ["ZeroED"]
     rows = []
     for name in datasets:
-        ds = load_dataset(name, n=REPRO_N[name], seed=seed)
+        ds = load_dataset(name, n=REPRO_N, seed=seed)
         runner = ZeroEDRunner(spark, ds)
         stats = runner.stats
         for method in methods:
@@ -148,7 +145,7 @@ def table4_rows(
     _tune_spark(spark)
     rows = []
     for name in datasets:
-        ds = load_dataset(name, n=REPRO_N[name], seed=seed)
+        ds = load_dataset(name, n=REPRO_N, seed=seed)
         runner = ZeroEDRunner(spark, ds)
         for label, cfg in ablation_configs(repro_config(seed)).items():
             m = runner.run(cfg).metrics
@@ -205,7 +202,7 @@ def table6_rows(
     _tune_spark(spark)
     rows = []
     for name in datasets:
-        ds = load_dataset(name, n=REPRO_N[name], seed=seed)
+        ds = load_dataset(name, n=REPRO_N, seed=seed)
         runner = ZeroEDRunner(spark, ds)
         for method in methods:
             m = runner.run(repro_config(seed, sampling=method)).metrics

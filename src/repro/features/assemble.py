@@ -11,13 +11,13 @@ and the final representation concatenates the base features of the cell's
 own attribute with those of its top-k correlated attributes:
 ``Feat(D[i,j]) = f_base(D[i,j]) ⊕ { f_base(D[i,q]) | a_q ∈ R_{a_j} }``.
 
-Most base slots read only the cell's value: the frequency and pattern
-slots, the embedding and every criterion but the dependency checks. The
-others (the vicinity slots and the dependency checks) also read the
-values of the attribute's related attributes. :func:`featurize_pdf`
-therefore computes the value slots once per distinct value and the
-context slots once per distinct key of those values, and scatters both
-back into the base layout by row, so a low-cardinality attribute costs a
+:func:`featurize_pdf` computes each base slot once per distinct key of
+the values it reads and scatters it back by row: the frequency and
+pattern slots and the embedding once per distinct value, the vicinity
+slots once per distinct key of the value and its related attributes'
+values, and the criteria bits through
+:func:`~repro.features.criteria.evaluate_table`, which knows which
+columns each criterion reads. A low-cardinality attribute costs a
 handful of evaluations rather than one per row. Featurization is a lookup
 into the count dictionaries that the Spark statistics pass collected; it
 runs on the driver over the driver-held table
@@ -28,18 +28,22 @@ training-time and prediction-time features agree by construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
 from repro.datasets.base import ROW_ID
-from repro.features.criteria import Criterion
+from repro.features.criteria import Criterion, evaluate_table, factorize
 from repro.features.embedding import EMB_DIM, embed_value
 from repro.features.patterns import l1_pattern, l2_pattern, l3_pattern, l3_shape
 from repro.features.stats import DatasetStats
+
+# Weight of the related attributes' base blocks in the full feature vector
+# (see featurize_pdf).
+RELATED_WEIGHT = 0.4
 
 
 def _loo(count: int) -> int:
@@ -62,18 +66,10 @@ class FeatureContext:
     value_counts: dict[str, dict[str, int]]
     pattern_counts: dict[str, dict[str, dict[str, int]]]  # attr -> level -> counts
     vicinity: dict[tuple[str, str], dict[tuple[str, str], int]]  # (attr, q) joint
-    emb_dim: int = EMB_DIM
-    related_weight: float = 0.4
-    _dim_cache: dict = field(default_factory=dict, repr=False)
 
     # ----------------------------------------------------------- helpers
     def base_dim(self, attr: str) -> int:
-        if attr not in self._dim_cache:
-            self._dim_cache[attr] = (
-                5 + len(self.related.get(attr, [])) + self.emb_dim
-                + len(self.criteria.get(attr, []))
-            )
-        return self._dim_cache[attr]
+        return 5 + len(self.related.get(attr, [])) + EMB_DIM + len(self.criteria.get(attr, []))
 
     def full_dim(self, attr: str) -> int:
         return self.base_dim(attr) + sum(
@@ -110,52 +106,24 @@ class FeatureContext:
         out = self._frequency_slots(attr, value)
         for q in self.related.get(attr, []):
             out.append(self._vicinity_slot(attr, q, value, row.get(q, "")))
-        out.extend(embed_value(value, self.emb_dim))
+        out.extend(embed_value(value, EMB_DIM))
         out.extend(_bit(c, value, row) for c in self.criteria.get(attr, []))
         return np.asarray(out, dtype=np.float64)
 
     def value_slots(self, attr: str, value: str) -> list[float]:
         """The base slots that read only the value: frequencies and patterns,
-        the embedding and the non-dependency criteria."""
-        out = self._frequency_slots(attr, value)
-        out.extend(embed_value(value, self.emb_dim))
-        out.extend(_bit(c, value, None) for c in self.criteria.get(attr, []) if c.kind != "dependency")
-        return out
+        and the embedding."""
+        return [*self._frequency_slots(attr, value), *embed_value(value, EMB_DIM)]
 
     def context_slots(self, attr: str, value: str, row: dict) -> list[float]:
-        """The base slots that read the row: vicinities and dependency criteria."""
-        out = [self._vicinity_slot(attr, q, value, row.get(q, "")) for q in self.related.get(attr, [])]
-        out.extend(_bit(c, value, row) for c in self.criteria.get(attr, []) if c.kind == "dependency")
-        return out
-
-    def slot_columns(self, attr: str) -> tuple[np.ndarray, np.ndarray]:
-        """The base-vector columns that :meth:`value_slots` and
-        :meth:`context_slots` fill, in the order they return them."""
-        n_related = len(self.related.get(attr, []))
-        first_criterion = 5 + n_related + self.emb_dim
-        dependency = [c.kind == "dependency" for c in self.criteria.get(attr, [])]
-        value = [*range(5), *range(5 + n_related, first_criterion)]
-        value += [first_criterion + i for i, d in enumerate(dependency) if not d]
-        context = [*range(5, 5 + n_related)]
-        context += [first_criterion + i for i, d in enumerate(dependency) if d]
-        return np.array(value, dtype=np.intp), np.array(context, dtype=np.intp)
-
-    def key_attrs(self, attr: str) -> list[str]:
-        """The attributes whose values :meth:`context_slots` reads for ``attr``:
-        itself, its related attributes and its dependency criteria's
-        determining attributes."""
-        keys = [attr, *self.related.get(attr, [])]
-        for c in self.criteria.get(attr, []):
-            if c.kind == "dependency" and c.params["other"] not in keys:
-                keys.append(c.params["other"])
-        return keys
+        """The base slots that read the related attributes' values: vicinities."""
+        return [self._vicinity_slot(attr, q, value, row.get(q, "")) for q in self.related.get(attr, [])]
 
 
 def build_context(
     stats: DatasetStats,
     related: dict[str, list[str]],
     criteria: dict[str, list[Criterion]],
-    emb_dim: int = EMB_DIM,
 ) -> FeatureContext:
     """Assemble a :class:`FeatureContext` from collected stats + criteria."""
     attrs = stats.attrs
@@ -175,33 +143,28 @@ def build_context(
         value_counts=stats.value_counts,
         pattern_counts=pattern_counts,
         vicinity=vicinity,
-        emb_dim=emb_dim,
     )
-
-
-def _factorize(keys: Iterable, n: int) -> tuple[np.ndarray, list]:
-    """Each of the ``n`` keys' code, and the distinct keys in code order."""
-    index: dict = {}
-    codes = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=n)
-    return codes, list(index)
 
 
 def _base_block(ctx: FeatureContext, pdf: pd.DataFrame, attr: str) -> np.ndarray:
     """Base features of every row's ``attr`` cell: (len(pdf), base_dim)."""
-    value_cols, context_cols = ctx.slot_columns(attr)
+    related = ctx.related.get(attr, [])
+    first_criterion = 5 + len(related) + EMB_DIM
     base = np.empty((len(pdf), ctx.base_dim(attr)))
-    codes, values = _factorize(pdf[attr].tolist(), len(pdf))
-    per_value = np.empty((len(values), len(value_cols)))
+    codes, values = factorize(pdf[attr].tolist(), len(pdf))
+    per_value = np.empty((len(values), 5 + EMB_DIM))
     for i, v in enumerate(values):
         per_value[i] = ctx.value_slots(attr, v)
-    base[:, value_cols] = per_value[codes]
-    if len(context_cols):
-        keys = ctx.key_attrs(attr)
-        codes, contexts = _factorize(zip(*(pdf[c].tolist() for c in keys)), len(pdf))
-        per_key = np.empty((len(contexts), len(context_cols)))
+    base[:, :5] = per_value[codes, :5]
+    base[:, 5 + len(related):first_criterion] = per_value[codes, 5:]
+    if related:
+        keys = [attr, *related]
+        codes, contexts = factorize(zip(*(pdf[c].tolist() for c in keys)), len(pdf))
+        per_key = np.empty((len(contexts), len(related)))
         for i, k in enumerate(contexts):
             per_key[i] = ctx.context_slots(attr, k[0], dict(zip(keys, k)))
-        base[:, context_cols] = per_key[codes]
+        base[:, 5:5 + len(related)] = per_key[codes]
+    base[:, first_criterion:] = evaluate_table(ctx.criteria.get(attr, []), pdf)[0]
     return base
 
 
@@ -210,7 +173,7 @@ def featurize_pdf(
 ) -> dict[str, np.ndarray]:
     """Feature matrices {attr: (len(pdf), full_dim)} for a pandas table.
 
-    ``Feat(D[i,j]) = f_base(own) ⊕ related_weight · f_base(related)``: the
+    ``Feat(D[i,j]) = f_base(own) ⊕ RELATED_WEIGHT · f_base(related)``: the
     related blocks are down-weighted so that k-means distances in the
     sampling stage stay dominated by the cell's own error signals — the
     related attributes' embeddings say little about *this* cell's
@@ -224,7 +187,7 @@ def featurize_pdf(
         for x in dict.fromkeys(b for a in attrs for b in [a, *ctx.related.get(a, [])])
     }
     return {
-        a: np.hstack([blocks[a], *(ctx.related_weight * blocks[q] for q in ctx.related.get(a, []))])
+        a: np.hstack([blocks[a], *(RELATED_WEIGHT * blocks[q] for q in ctx.related.get(a, []))])
         for a in attrs
     }
 

@@ -5,16 +5,23 @@ strings: each :class:`Criterion` is a small spec (kind + params) with a
 generic ``evaluate`` implementation, preserving the paper's semantics —
 executing each criterion over a cell value (plus its row context for
 dependency checks) yields one binary feature per criterion: ``True`` =
-the value passes the check. Only a dependency check reads the row: one
-other attribute, ``params["other"]``, drawn from the attribute's related
-set. Featurization therefore evaluates the other criteria once per
-distinct value, and the dependency checks once per distinct (value,
-related values) key, rather than once per row.
+the value passes the check. ZeroED runs the same criteria twice: as
+cell features, and as the judge of Algorithm 1's mutual verification.
+
+This module alone knows which columns a criterion reads
+(:attr:`Criterion.reads`): the attribute's own value, plus, for a
+dependency check, one other attribute, ``params["other"]``.
+:func:`evaluate_table` serves both uses, evaluating each criterion once
+per distinct key of the columns it reads rather than once per row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
+
+import numpy as np
+import pandas as pd
 
 from repro.features.patterns import PATTERN_LEVELS
 
@@ -42,6 +49,13 @@ class Criterion:
     kind: str  # not_missing | pattern | domain | range | length | dependency
     name: str
     params: dict = field(default_factory=dict)
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """The columns this criterion reads: ``attr`` first."""
+        if self.kind == "dependency":
+            return (self.attr, self.params["other"])
+        return (self.attr,)
 
     def evaluate(self, value: str, row: dict[str, str] | None = None) -> bool:
         """True iff ``value`` (in ``row`` context) passes this check."""
@@ -90,3 +104,32 @@ class Criterion:
             f"    return passes({self.kind!r}, row[{self.attr!r}], "
             f"params={sorted(self.params)})\n"
         )
+
+
+def factorize(keys: Iterable, n: int) -> tuple[np.ndarray, list]:
+    """Each of the ``n`` keys' code, and the distinct keys in code order."""
+    index: dict = {}
+    codes = np.fromiter((index.setdefault(k, len(index)) for k in keys), dtype=np.intp, count=n)
+    return codes, list(index)
+
+
+def evaluate_table(
+    criteria: list[Criterion], table: pd.DataFrame
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(passes, applicable)``: two ``(len(table), len(criteria))`` bool
+    arrays, :meth:`Criterion.evaluate` and :meth:`Criterion.applicable` of
+    every row's cell. Each criterion runs once per distinct key of its
+    :attr:`~Criterion.reads` columns, and criteria reading the same columns
+    share one factorization."""
+    n = len(table)
+    passes = np.empty((n, len(criteria)), dtype=bool)
+    applicable = np.empty_like(passes)
+    keyed: dict[tuple[str, ...], tuple[np.ndarray, list[dict]]] = {}
+    for j, c in enumerate(criteria):
+        if c.reads not in keyed:
+            codes, keys = factorize(zip(*(table[col].tolist() for col in c.reads)), n)
+            keyed[c.reads] = codes, [dict(zip(c.reads, k)) for k in keys]
+        codes, rows = keyed[c.reads]
+        passes[:, j] = np.array([c.evaluate(r[c.attr], r) for r in rows], dtype=bool)[codes]
+        applicable[:, j] = np.array([c.applicable(r[c.attr], r) for r in rows], dtype=bool)[codes]
+    return passes, applicable

@@ -40,9 +40,7 @@ def label_representatives(
     cols = [attr] + [c for c in related if c in dirty.columns]
     for start in range(0, len(rep_positions), batch_size):
         batch = rep_positions[start: start + batch_size]
-        rows = [
-            {c: dirty.iat[i, dirty.columns.get_loc(c)] for c in cols} for i in batch
-        ]
+        rows = dirty.iloc[batch][cols].to_dict("records")
         gtext = guideline.render() if guideline is not None else "(no guideline)"
         prompt = labeling_prompt(attr, gtext, rows)
 

@@ -9,7 +9,10 @@ Per attribute:
    error-labeled against clean-labeled values and emits refined criteria.
 3. *Mutual verification* (lines 8–20): criteria scoring < 0.5 accuracy on
    propagated-clean data are dropped; clean-labeled rows failing > 50 % of
-   the surviving criteria are evicted from the training pool.
+   the surviving criteria are evicted from the training pool. Both checks
+   read one evaluation of the refined criteria over the propagated-clean
+   rows (:func:`~repro.features.criteria.evaluate_table`, once per
+   distinct key of the columns each criterion reads).
 4. *LLM error augmentation* (lines 24–25): synthetic erroneous variants of
    verified clean rows rebalance the minority error class.
 
@@ -19,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 
-from repro.features.criteria import Criterion
+from repro.features.criteria import Criterion, evaluate_table
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, refine_criteria
 from repro.sampling.cluster import AttrClustering
@@ -71,49 +75,34 @@ def construct_training_data(
     verify_sample: int = 400,
 ) -> AttrTrainingData:
     """Run Algorithm 1 for one attribute."""
-    # Full rows: synthetic variants must featurize with the same context
-    # slots (related-of-related vicinity, dependency criteria) as real rows,
-    # otherwise the detector can shortcut on "missing context" artifacts.
-    # The dicts are shared, not copied: every reader below only reads them,
-    # and augment_errors copies a row before corrupting it.
-    records = dirty.to_dict("records")
-
     propagated = propagate_labels(clustering, rep_labels)
     td = AttrTrainingData()
 
     refined: list[Criterion] = []
     if use_verification:
-        err_vals = [records[p][attr] for p, l in rep_labels.items() if l == 1]
-        cln_vals = [records[p][attr] for p, l in rep_labels.items() if l == 0]
+        values = dirty[attr].tolist()
+        err_vals = [values[p] for p, l in rep_labels.items() if l == 1]
+        cln_vals = [values[p] for p, l in rep_labels.items() if l == 0]
         clean_positions = [p for p, l in propagated.items() if l == 0]
         # subsample for the LLM context and criterion verification cost
         step = max(1, len(clean_positions) // verify_sample)
-        clean_rows = [records[p] for p in clean_positions[::step]]
+        clean_rows = dirty.iloc[clean_positions[::step]].to_dict("records")
         refined = refine_criteria(llm, attr, err_vals, cln_vals, clean_rows, related)
+        passes, applicable = evaluate_table(refined, dirty.iloc[clean_positions])
+        passes &= applicable
         # verify criteria against propagated-clean data (Alg. 1 lines 8–14);
         # pass rates count only cells the criterion is applicable to
-        kept: list[Criterion] = []
-        for c in refined:
-            applicable = [r for r in clean_rows if c.applicable(r[attr], r)]
-            if not applicable:
-                continue
-            acc = sum(c.evaluate(r[attr], r) for r in applicable) / len(applicable)
-            if acc >= 0.5:
-                kept.append(c)
-        refined = kept
+        n_applicable = applicable[::step].sum(axis=0).tolist()
+        n_passed = passes[::step].sum(axis=0).tolist()
+        kept = [j for j, (n_a, n_p) in enumerate(zip(n_applicable, n_passed)) if n_a and n_p / n_a >= 0.5]
+        refined = [refined[j] for j in kept]
         # verify propagated-clean rows against surviving criteria (15–20):
         # evict a "clean" row when at least half of the criteria that can
         # judge it indicate incorrectness
         if refined:
-            evicted = set()
-            for p in clean_positions:
-                r = records[p]
-                decisive = [c for c in refined if c.applicable(r[attr], r)]
-                if not decisive:
-                    continue
-                rate = sum(c.evaluate(r[attr], r) for c in decisive) / len(decisive)
-                if rate <= 0.5:
-                    evicted.add(p)
+            decisive = applicable[:, kept].sum(axis=1)
+            rate = passes[:, kept].sum(axis=1) / np.maximum(decisive, 1)
+            evicted = {clean_positions[i] for i in np.flatnonzero((decisive > 0) & (rate <= 0.5))}
             td.n_evicted = len(evicted)
             propagated = {p: l for p, l in propagated.items() if p not in evicted}
 
@@ -125,6 +114,9 @@ def construct_training_data(
         n_err = sum(td.real_labels)
         n_clean = len(td.real_labels) - n_err
         need = min(max(0, n_clean - n_err), max_synth)
-        clean_rows_full = [records[p] for p, l in propagated.items() if l == 0]
+        # Full rows: synthetic variants must featurize with the same context
+        # slots (related-of-related vicinity, dependency criteria) as real rows,
+        # otherwise the detector can shortcut on "missing context" artifacts.
+        clean_rows_full = dirty.iloc[[p for p, l in propagated.items() if l == 0]].to_dict("records")
         td.synth_rows = augment_errors(llm, attr, clean_rows_full, need)
     return td

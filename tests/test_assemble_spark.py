@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.base import ROW_ID
 from repro.features.assemble import (
+    RELATED_WEIGHT,
     build_context,
     collect_feature_matrices,
     features_sdf,
@@ -12,6 +13,7 @@ from repro.features.assemble import (
 )
 from repro.features.correlation import top_related
 from repro.features.criteria import Criterion
+from repro.features.embedding import EMB_DIM
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, derive_criteria
 
@@ -20,7 +22,7 @@ def full_features_reference(ctx, attr, row):
     """Per-row reference for featurize_pdf: f_base(own) ⊕ weighted f_base(related)."""
     parts = [ctx.base_features(attr, row.get(attr, ""), row)]
     for q in ctx.related.get(attr, []):
-        parts.append(ctx.related_weight * ctx.base_features(q, row.get(q, ""), row))
+        parts.append(RELATED_WEIGHT * ctx.base_features(q, row.get(q, ""), row))
     return np.concatenate(parts)
 
 
@@ -41,7 +43,7 @@ def feats(ctx, hospital_tiny):
 
 def test_dims(ctx):
     for a in ctx.attrs:
-        base = 5 + len(ctx.related[a]) + ctx.emb_dim + 2
+        base = 5 + len(ctx.related[a]) + EMB_DIM + 2
         assert ctx.base_dim(a) == base
         assert ctx.full_dim(a) == base + sum(ctx.base_dim(q) for q in ctx.related[a])
 

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.llm.model import SimulatedLLM
+from repro.llm.reasoning import refine_criteria
 from repro.sampling.cluster import AttrClustering
 from repro.training.construct import construct_training_data, propagate_labels
 
@@ -98,3 +99,59 @@ def test_max_synth_cap(hospital_tiny):
         [], max_synth=7,
     )
     assert len(td.synth_rows) <= 7
+
+
+def verify_reference(llm, dirty, attr, clustering, rep_labels, related, verify_sample):
+    """Algorithm 1's mutual verification as per-row loops over row dicts:
+    (criteria before verification, kept criteria, #evicted, real positions)."""
+    records = dirty.to_dict("records")
+    propagated = propagate_labels(clustering, rep_labels)
+    err_vals = [records[p][attr] for p, l in rep_labels.items() if l == 1]
+    cln_vals = [records[p][attr] for p, l in rep_labels.items() if l == 0]
+    clean_positions = [p for p, l in propagated.items() if l == 0]
+    step = max(1, len(clean_positions) // verify_sample)
+    clean_rows = [records[p] for p in clean_positions[::step]]
+    derived = refine_criteria(llm, attr, err_vals, cln_vals, clean_rows, related)
+    refined = []
+    for c in derived:
+        applicable = [r for r in clean_rows if c.applicable(r[attr], r)]
+        if not applicable:
+            continue
+        acc = sum(c.evaluate(r[attr], r) for r in applicable) / len(applicable)
+        if acc >= 0.5:
+            refined.append(c)
+    evicted = set()
+    if refined:
+        for p in clean_positions:
+            r = records[p]
+            decisive = [c for c in refined if c.applicable(r[attr], r)]
+            if not decisive:
+                continue
+            rate = sum(c.evaluate(r[attr], r) for c in decisive) / len(decisive)
+            if rate <= 0.5:
+                evicted.add(p)
+    return derived, refined, len(evicted), sorted(p for p in propagated if p not in evicted)
+
+
+def test_verification_matches_per_row_reference(hospital_tiny):
+    dirty = hospital_tiny.dirty
+    n = len(dirty)
+    assign = np.arange(n) % 10
+    reps = {c: int(np.flatnonzero(assign == c)[0]) for c in range(10)}
+    n_evicted = n_dropped = n_dependency = 0
+    for attr in dirty.columns:
+        rep_labels = {p: int(hospital_tiny.error_mask[attr].iloc[p]) for p in reps.values()}
+        related = [b for b in dirty.columns if b != attr][:2]
+        for verify_sample in (20, 400):
+            args = (dirty, attr, _clustering(assign, reps), rep_labels, related)
+            td = construct_training_data(SimulatedLLM(seed=0), *args, verify_sample=verify_sample)
+            derived, refined, evicted, positions = verify_reference(
+                SimulatedLLM(seed=0), *args, verify_sample
+            )
+            assert td.refined_criteria == refined, (attr, verify_sample)
+            assert td.n_evicted == evicted, (attr, verify_sample)
+            assert td.real_positions == positions, (attr, verify_sample)
+            n_evicted += evicted
+            n_dropped += len(derived) - len(refined)
+            n_dependency += sum(c.kind == "dependency" for c in refined)
+    assert n_evicted > 0 and n_dropped > 0 and n_dependency > 0
