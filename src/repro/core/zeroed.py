@@ -95,7 +95,7 @@ class ZeroEDRunner:
     def __init__(self, spark: SparkSession, dataset: Dataset):
         self.spark = spark
         self.ds = dataset
-        self.sdf = dataset.dirty_spark(spark).cache()
+        self.sdf = dataset.dirty_spark(spark)
         self._cache: dict = {}
 
     @property

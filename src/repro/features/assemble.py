@@ -25,6 +25,11 @@ runs on the driver over the driver-held table
 matrices. The same function featurizes synthetic augmentation rows, so
 training-time and prediction-time features agree by construction.
 :func:`features_sdf` is its Spark ``mapInPandas`` form, off the run path.
+
+Because a feature row is a function of a few cell values, a matrix
+repeats the same rows many times; :func:`distinct_rows` factorizes it so
+that the per-attribute fits (k-means sampling, the detector) do their
+per-row arithmetic once per distinct row.
 """
 from __future__ import annotations
 
@@ -215,3 +220,20 @@ def collect_feature_matrices(
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Featurize the driver-held table: (row positions, {attr: X matrix})."""
     return np.arange(len(table)), featurize_pdf(ctx, table)
+
+
+def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, first)``: each row's distinct-row code, and each distinct
+    row's first position, in first-occurrence order, so that
+    ``X[first][codes]`` is ``X`` bit for bit.
+
+    Rows are compared by their bytes, so ``-0.0`` and ``0.0`` make two
+    distinct rows: a value-equal merge could swap one for the other.
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]

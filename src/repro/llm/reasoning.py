@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+import pandas as pd
 
 from repro.features.criteria import Criterion, is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_shape
@@ -430,25 +431,31 @@ _AUG_OPS = ("typo", "missing", "pattern", "outlier", "swap")
 def augment_errors(
     llm: SimulatedLLM,
     attr: str,
-    clean_rows: list[dict],
+    clean: pd.DataFrame,
     n_needed: int,
 ) -> list[dict]:
     """Algorithm 1 lines 24–25: LLM-generated erroneous variants.
 
-    Each synthetic example copies a clean row and corrupts ``attr`` with a
-    semantically plausible operation. Weak tiers (low ``aug_quality``)
-    emit trivial corruptions (a stray suffix) that train the detector less
-    effectively — mirroring the paper's model-quality gap.
+    Each synthetic example copies a row of the ``clean`` table and corrupts
+    ``attr`` with a semantically plausible operation. Weak tiers (low
+    ``aug_quality``) emit trivial corruptions (a stray suffix) that train
+    the detector less effectively — mirroring the paper's model-quality gap.
+    Only the copied rows are turned into dicts; the prompt and a swap read
+    the ``attr`` column alone.
     """
     from repro.llm.prompts import augmentation_prompt
 
-    if not clean_rows or n_needed <= 0:
+    if len(clean) == 0 or n_needed <= 0:
         return []
+    values = clean[attr].tolist()
+    n = len(values)
+    srcs = [int(llm.uniform("aug_src", attr, i) * n) % n for i in range(n_needed)]
+    copied = sorted(set(srcs))
+    src_rows = dict(zip(copied, clean.iloc[copied].to_dict("records")))
 
     def _corrupt(i: int) -> dict:
-        src = clean_rows[int(llm.uniform("aug_src", attr, i) * len(clean_rows)) % len(clean_rows)]
-        row = dict(src)
-        v = row.get(attr, "")
+        row = dict(src_rows[srcs[i]])
+        v = row[attr]
         if llm.uniform("aug_q", attr, i) > llm.tier.aug_quality or not v:
             row[attr] = (v or "x") + "x"
             return row
@@ -467,14 +474,12 @@ def augment_errors(
             x = try_float(v)
             row[attr] = f"{x * 100:.1f}" if x is not None else "zzqxw"
         else:  # swap: a valid value from a different row (context mismatch)
-            other = clean_rows[int(llm.uniform("aug_sw", attr, i) * len(clean_rows)) % len(clean_rows)]
-            row[attr] = other.get(attr, v + "x")
+            row[attr] = values[int(llm.uniform("aug_sw", attr, i) * n) % n]
         if row[attr] == v:
             row[attr] = v + "x"
         return row
 
     rows = [_corrupt(i) for i in range(n_needed)]
-    values = [r.get(attr, "") for r in clean_rows]
     # the LLM emits only the corrupted values — charge those as completion
     # text, not the full synthetic rows we assemble around them locally
     llm.complete(

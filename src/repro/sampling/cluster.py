@@ -16,13 +16,18 @@ representative the LLM labels. Three methods are compared in Table VI:
 All three run with numpy on the driver, where
 :func:`repro.features.assemble.collect_feature_matrices` already put every
 attribute's matrix; a few thousand rows cluster in milliseconds, so no
-Spark job is issued.
+Spark job is issued. k-means does its distance arithmetic once per
+distinct feature row (a matrix repeats rows, since a feature row is a
+function of a few cell values) and makes the assignments and picks the
+representatives the per-row computation makes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.features.assemble import distinct_rows
 
 KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 
@@ -39,53 +44,72 @@ class AttrClustering:
         return sorted(self.representatives.values())
 
 
-def _nearest_to_center(X: np.ndarray, assign: np.ndarray, centers: dict[int, np.ndarray]) -> dict[int, int]:
-    reps: dict[int, int] = {}
-    for c, mu in centers.items():
-        idx = np.flatnonzero(assign == c)
-        if idx.size == 0:
-            continue
-        d = np.linalg.norm(X[idx] - mu, axis=1)
-        reps[c] = int(idx[np.argmin(d)])
-    return reps
-
-
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, rows of ``X`` × rows of ``C``."""
     d = (X**2).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :]
     return np.maximum(d, 0.0)
 
 
+def _member_means(X: np.ndarray, assign: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Each non-empty cluster's mean over its member rows, taken in row
+    order; an emptied cluster keeps its center from ``C``."""
+    C = C.copy()
+    order = np.argsort(assign, kind="stable")
+    ends = np.cumsum(np.bincount(assign, minlength=len(C)))
+    members = X[order]
+    start = 0
+    for c, end in enumerate(ends):
+        if end > start:
+            C[c] = members[start:end].mean(axis=0)
+        start = end
+    return C
+
+
 def kmeans_clustering(X: np.ndarray, k: int, seed: int) -> AttrClustering:
     """k-means++ seeding, then Lloyd iterations until the assignment is stable
     (at most ``KMEANS_MAX_ITER``).
 
-    ``k`` is capped at the number of rows and of distinct rows, so every
-    seed is a distinct point. Representatives are centroid-nearest.
+    ``k`` is capped at the number of distinct rows (by value), so every seed
+    is a distinct point. Representatives are centroid-nearest: the lowest
+    row position among the rows nearest their cluster's centroid.
+
+    Distances are computed once per distinct row
+    (:func:`~repro.features.assemble.distinct_rows`) and gathered back to
+    rows, so seeding draws from the same per-row distribution and every
+    copy of a row lands in the same cluster. The centroids stay means over
+    all member rows in row order: a mean of distinct rows weighted by their
+    counts sums in another order, which changes the last bits of the
+    centroids and, through near-ties, which rows are chosen.
     """
+    codes, first = distinct_rows(X)
+    U = X[first]
     n = X.shape[0]
-    k = max(1, min(k, n, len(np.unique(X, axis=0))))
+    k = max(1, min(k, len(np.unique(U, axis=0))))
     g = np.random.default_rng(seed)
     # seeding distances are taken directly, not by the dot-product expansion,
     # so that only rows equal to a chosen seed read exactly 0
     seeds = [X[g.integers(n)]]
-    d2 = ((X - seeds[0]) ** 2).sum(axis=1)
+    d2 = ((U - seeds[0]) ** 2).sum(axis=1)
     for _ in range(1, k):
-        c = X[g.choice(n, p=d2 / d2.sum())]
+        p = d2[codes]
+        c = X[g.choice(n, p=p / p.sum())]
         seeds.append(c)
-        d2 = np.minimum(d2, ((X - c) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, ((U - c) ** 2).sum(axis=1))
     C = np.vstack(seeds)
     assign = None
     for _ in range(KMEANS_MAX_ITER):
-        new = np.argmin(_sq_dists(X, C), axis=1)
+        new = np.argmin(_sq_dists(U, C), axis=1)
         if assign is not None and np.array_equal(new, assign):
             break
         assign = new
-        for c in range(k):
-            members = assign == c
-            if members.any():  # an emptied cluster keeps its last center
-                C[c] = X[members].mean(axis=0)
-    return AttrClustering(assign, _nearest_to_center(X, assign, dict(enumerate(C))))
+        C = _member_means(X, assign[codes], C)
+    # per cluster, the nearest distinct row; ties keep the lowest code, whose
+    # first position is the lowest (codes are in first-occurrence order)
+    d = np.linalg.norm(U - C[assign], axis=1)
+    o = np.lexsort((d, assign))
+    heads = o[np.r_[True, assign[o[1:]] != assign[o[:-1]]]]
+    reps = {int(assign[i]): int(first[i]) for i in heads}
+    return AttrClustering(assign[codes], reps)
 
 
 def agglomerative_clustering(X: np.ndarray, k: int) -> AttrClustering:

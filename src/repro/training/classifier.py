@@ -10,6 +10,13 @@ synthetic cells. The feature matrices are already on the driver
 few hundred rows fits in a handful of milliseconds, so no Spark job is
 issued. Attributes whose training pool is single-class degenerate to a
 constant predictor (nothing for an MLP to learn).
+
+A pool repeats the same (feature row, label) pairs many times, and a
+matrix the same feature rows (:func:`~repro.features.assemble.distinct_rows`).
+The fit runs on the distinct pairs, each pair's cross-entropy weighted by
+its share of the pool, which is the same mean loss over the pool's rows;
+prediction runs once per distinct row of the attribute's matrix and is
+gathered back to rows.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from repro.features.assemble import FeatureContext, featurize_pdf
+from repro.features.assemble import FeatureContext, distinct_rows, featurize_pdf
 from repro.training.construct import AttrTrainingData
 
 # Adam step size and moment decay rates (Kingma & Ba's defaults except the
@@ -45,20 +52,29 @@ class MLP:
         return z[:, 1] > z[:, 0]
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of logits ``z`` and its gradient in ``z``."""
+def _cross_entropy(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy of logits ``z`` weighted by ``w`` (summing to 1),
+    and its gradient in ``z``."""
     z = z - z.max(axis=1, keepdims=True)
     log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     rows = np.arange(len(y))
     grad = np.exp(log_p)
     grad[rows, y] -= 1.0
-    return float(-log_p[rows, y].mean()), grad / len(y)
+    return float(-(w @ log_p[rows, y])), grad * w[:, None]
 
 
 def fit_mlp(
     X: np.ndarray, y: np.ndarray, *, hidden: int, steps: int, seed: int
 ) -> tuple[MLP, float]:
-    """Fit with ``steps`` full-batch Adam steps; return the net and its final loss."""
+    """Fit with ``steps`` full-batch Adam steps; return the net and its final
+    mean loss over the rows of ``X``.
+
+    The steps run on the distinct (row, label) pairs, each weighted by its
+    multiplicity over ``len(X)``.
+    """
+    codes, first = distinct_rows(np.column_stack([X, y]))
+    w = np.bincount(codes) / len(codes)
+    X, y = X[first], y[first].astype(int)
     g = np.random.default_rng(seed)
     dim = X.shape[1]
     # PyTorch nn.Linear's default init, U(±1/sqrt(fan_in)) for weights and
@@ -72,12 +88,11 @@ def fit_mlp(
     ]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    y = y.astype(int)
     for t in range(1, steps + 1):
         W1, b1, W2, b2 = params
         pre = X @ W1 + b1
         h = np.maximum(pre, 0.0)
-        _loss, dz = _cross_entropy(h @ W2 + b2, y)
+        _loss, dz = _cross_entropy(h @ W2 + b2, y, w)
         dpre = (dz @ W2.T) * (pre > 0)
         grads = [X.T @ dpre, dpre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
         for p, gr, m_i, v_i in zip(params, grads, m, v):
@@ -87,7 +102,7 @@ def fit_mlp(
             v_i += (1 - BETA2) * gr**2
             p -= LEARNING_RATE * (m_i / (1 - BETA1**t)) / (np.sqrt(v_i / (1 - BETA2**t)) + EPS)
     net = MLP(*params)
-    return net, _cross_entropy(net.logits(X), y)[0]
+    return net, _cross_entropy(net.logits(X), y, w)[0]
 
 
 def train_predict_attribute(
@@ -122,7 +137,8 @@ def train_predict_attribute(
         return np.full(X_full.shape[0], only, dtype=bool), constant
 
     net, loss = fit_mlp(X_train, y_train, hidden=hidden, steps=max_iter, seed=seed)
-    return net.predict(X_full), {"steps": max_iter, "loss": loss}
+    codes, first = distinct_rows(X_full)
+    return net.predict(X_full[first])[codes], {"steps": max_iter, "loss": loss}
 
 
 def train_predict_all(

@@ -117,6 +117,6 @@ def construct_training_data(
         # Full rows: synthetic variants must featurize with the same context
         # slots (related-of-related vicinity, dependency criteria) as real rows,
         # otherwise the detector can shortcut on "missing context" artifacts.
-        clean_rows_full = dirty.iloc[[p for p, l in propagated.items() if l == 0]].to_dict("records")
-        td.synth_rows = augment_errors(llm, attr, clean_rows_full, need)
+        clean = dirty.iloc[[p for p, l in propagated.items() if l == 0]]
+        td.synth_rows = augment_errors(llm, attr, clean, need)
     return td

@@ -8,6 +8,7 @@ from repro.features.assemble import (
     RELATED_WEIGHT,
     build_context,
     collect_feature_matrices,
+    distinct_rows,
     features_sdf,
     featurize_pdf,
 )
@@ -99,10 +100,9 @@ def test_per_key_matches_per_row_reference(derived_ctx, hospital_tiny):
 
 def test_per_key_matches_per_row_reference_on_synthetic_rows(derived_ctx, hospital_tiny):
     """Synthetic rows (values absent from the table) featurize as the reference does."""
-    rows = hospital_tiny.dirty.to_dict("records")
     llm = SimulatedLLM(seed=0)
     for a in derived_ctx.attrs:
-        synth = augment_errors(llm, a, rows, 30)
+        synth = augment_errors(llm, a, hospital_tiny.dirty, 30)
         got = featurize_pdf(derived_ctx, pd.DataFrame(synth), [a])
         assert list(got) == [a]
         expected = np.vstack([full_features_reference(derived_ctx, a, r) for r in synth])
@@ -145,3 +145,18 @@ def test_vicinity_slot_reflects_cooccurrence(ctx, hospital_tiny):
     # vicinity features live right after the 5 frequency slots
     vic = f[5: 5 + len(q)]
     assert (vic >= 0).all() and (vic <= 1).all()
+
+
+def test_distinct_rows_factorizes_bitwise():
+    """``X[first][codes]`` is ``X`` bit for bit; ``first`` holds each distinct
+    row's first position, in order; -0.0 and 0.0 are distinct bytes."""
+    g = np.random.default_rng(0)
+    base = np.array([[0.0, 1.0], [-0.0, 1.0], [np.nan, 2.0], [0.5, 0.25], [1.0, 0.0]])
+    X = base[g.integers(0, len(base), 60)]
+    for M in (X, np.asfortranarray(X)):
+        codes, first = distinct_rows(M)
+        assert np.array_equal(M[first][codes].view(np.uint64), X.view(np.uint64))
+        assert np.all(np.diff(first) > 0)
+        assert np.array_equal(codes[first], np.arange(len(first)))
+        assert np.all(first[codes] <= np.arange(len(X)))
+        assert len(first) == len({r.tobytes() for r in X}) == len(base)

@@ -148,9 +148,8 @@ def test_evaluate_table_matches_per_row(llm_criteria, hospital_tiny):
 
 def test_evaluate_table_matches_per_row_on_synthetic_rows(llm_criteria, hospital_tiny):
     """Synthetic rows carry values the table does not."""
-    rows = hospital_tiny.dirty.to_dict("records")
     llm = SimulatedLLM(seed=0)
-    synth = [r for a in hospital_tiny.dirty.columns for r in augment_errors(llm, a, rows, 20)]
+    synth = [r for a in hospital_tiny.dirty.columns for r in augment_errors(llm, a, hospital_tiny.dirty, 20)]
     passes, applicable = evaluate_table(llm_criteria, pd.DataFrame(synth))
     ref_passes, ref_applicable = per_row_reference(llm_criteria, synth)
     assert np.array_equal(passes, ref_passes)

@@ -1,4 +1,5 @@
 """Tests for the simulated LLM's rule-induction engine."""
+import pandas as pd
 import pytest
 
 from repro.llm.model import SimulatedLLM
@@ -243,7 +244,7 @@ def test_refine_domain_contrast_drops_useless_domain(llm):
 
 def test_augment_errors_count_and_difference(llm):
     rows = [{"v": f"value {i}", "w": "ctx"} for i in range(20)]
-    out = augment_errors(llm, "v", rows, 30)
+    out = augment_errors(llm, "v", pd.DataFrame(rows), 30)
     assert len(out) == 30
     originals = {r["v"] for r in rows}
     changed = sum(1 for r in out if r["v"] not in originals)
@@ -252,20 +253,20 @@ def test_augment_errors_count_and_difference(llm):
 
 
 def test_augment_errors_empty_inputs(llm):
-    assert augment_errors(llm, "v", [], 5) == []
-    assert augment_errors(llm, "v", [{"v": "x"}], 0) == []
+    assert augment_errors(llm, "v", pd.DataFrame(columns=["v"]), 5) == []
+    assert augment_errors(llm, "v", pd.DataFrame([{"v": "x"}]), 0) == []
 
 
 def test_augment_quality_differs_by_tier(llm, weak_llm):
     rows = [{"v": "hello world 123"}] * 10
-    strong = augment_errors(llm, "v", rows, 40)
-    weak = augment_errors(weak_llm, "v", rows, 40)
+    strong = augment_errors(llm, "v", pd.DataFrame(rows), 40)
+    weak = augment_errors(weak_llm, "v", pd.DataFrame(rows), 40)
     trivial = lambda out: sum(1 for r in out if r["v"].endswith("x"))  # noqa: E731
     assert trivial(weak) > trivial(strong)
 
 
 def test_augment_deterministic(llm):
     rows = [{"v": f"val{i}"} for i in range(5)]
-    a = augment_errors(SimulatedLLM(seed=3), "v", rows, 10)
-    b = augment_errors(SimulatedLLM(seed=3), "v", rows, 10)
+    a = augment_errors(SimulatedLLM(seed=3), "v", pd.DataFrame(rows), 10)
+    b = augment_errors(SimulatedLLM(seed=3), "v", pd.DataFrame(rows), 10)
     assert a == b

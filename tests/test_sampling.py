@@ -120,3 +120,106 @@ def test_kmeans_separates_blobs():
     assert len(set(res.assignments[:30])) == 1
     assert len(set(res.assignments[30:])) == 1
     assert res.assignments[0] != res.assignments[-1]
+
+
+# ------------------------------------------- k-means over distinct rows
+
+
+def reference_kmeans(X, k, seed):
+    """Per-row k-means: every row's distances and the representatives
+    computed row by row, centroids as boolean-mask means."""
+    n = X.shape[0]
+    k = max(1, min(k, n, len(np.unique(X, axis=0))))
+    g = np.random.default_rng(seed)
+    seeds = [X[g.integers(n)]]
+    d2 = ((X - seeds[0]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        c = X[g.choice(n, p=d2 / d2.sum())]
+        seeds.append(c)
+        d2 = np.minimum(d2, ((X - c) ** 2).sum(axis=1))
+    C = np.vstack(seeds)
+    assign = None
+    for _ in range(20):
+        d = (X**2).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :]
+        new = np.argmin(np.maximum(d, 0.0), axis=1)
+        if assign is not None and np.array_equal(new, assign):
+            break
+        assign = new
+        for c in range(k):
+            members = assign == c
+            if members.any():
+                C[c] = X[members].mean(axis=0)
+    reps = {}
+    for c, mu in enumerate(C):
+        idx = np.flatnonzero(assign == c)
+        if idx.size:
+            reps[c] = int(idx[np.argmin(np.linalg.norm(X[idx] - mu, axis=1))])
+    return assign, reps
+
+
+def assert_matches_reference(X, k, seed):
+    res = kmeans_clustering(X, k, seed)
+    ref_assign, ref_reps = reference_kmeans(X, k, seed)
+    assert np.array_equal(res.assignments, ref_assign), (k, seed)
+    assert res.representatives == ref_reps, (k, seed)
+    return res
+
+
+@pytest.fixture(scope="module")
+def hospital_mats(hospital_stats, hospital_tiny):
+    from repro.features.assemble import build_context, collect_feature_matrices
+    from repro.features.correlation import top_related
+    from repro.llm.model import SimulatedLLM
+    from repro.llm.reasoning import derive_criteria
+
+    related = top_related(hospital_stats, 2)
+    llm = SimulatedLLM(seed=0)
+    samples = hospital_tiny.dirty.sample(40, random_state=0).to_dict("records")
+    criteria = {a: derive_criteria(llm, a, samples, related[a]) for a in hospital_stats.attrs}
+    _, mats = collect_feature_matrices(hospital_tiny.dirty, build_context(hospital_stats, related, criteria))
+    return mats
+
+
+def test_kmeans_matches_per_row_reference_on_hospital(hospital_mats):
+    repeated = 0
+    for a, X in hospital_mats.items():
+        repeated += len(np.unique(X, axis=0)) < len(X)
+        for k, seed in [(7, 0), (15, 1), (15, 2)]:
+            assert_matches_reference(X, k, seed)
+    assert repeated  # some matrices repeat rows, so the distinct path is taken
+
+
+def test_kmeans_matches_per_row_reference_on_tiled_ties():
+    """A lattice tiled many times: many rows sit at equal distances from two
+    centers, and every cluster's nearest rows tie."""
+    g = np.random.default_rng(5)
+    lattice = np.array([[i, j] for i in range(4) for j in range(3)], dtype=float) / 3.0
+    for rep in (3, 40):
+        X = np.tile(lattice, (rep, 1))[g.permutation(rep * len(lattice))]
+        for k, seed in [(2, 0), (3, 1), (4, 2), (6, 3), (12, 4), (30, 5)]:
+            assert_matches_reference(X, k, seed)
+
+
+def test_kmeans_matches_per_row_reference_on_tiled_blobs():
+    g = np.random.default_rng(6)
+    base = np.round(_blobs(n=24, seed=2), 1)
+    X = np.vstack([base[g.permutation(24)] for _ in range(25)])
+    for k, seed in [(3, 0), (5, 1), (8, 2), (20, 3)]:
+        assert_matches_reference(X, k, seed)
+
+
+def test_kmeans_signed_zeros_count_as_one_row():
+    """-0.0 and 0.0 are distinct bytes but one value: the cap on k counts
+    values, so no seed is drawn from an all-zero distribution."""
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0], [0.0, 1.0], [2.0, 2.0]])
+    for k, seed in [(3, 0), (6, 1), (10, 2)]:
+        res = assert_matches_reference(X, k, seed)
+        assert len(res.representatives) <= 3
+    res = assert_matches_reference(X[[0, 1, 4]], 3, 0)
+    assert set(res.assignments) == {0}
+
+
+def test_kmeans_matches_per_row_reference_when_degenerate():
+    assert_matches_reference(_blobs(n=5), 50, 0)  # n < k
+    assert_matches_reference(np.ones((20, 3)), 4, 0)  # all rows identical
+    assert_matches_reference(np.vstack([_blobs(n=6)] * 5), 10, 3)  # k > distinct rows
