@@ -32,10 +32,9 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from jobs._common import get_spark
 from repro.core.zeroed import ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import TABLE3_DATASETS, load_dataset
-from repro.exp.tables import REPRO_N, repro_config
+from repro.exp.tables import REPRO_N, get_spark, repro_config
 
 SEED = 3
 FIG8_N = 2000

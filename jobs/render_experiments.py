@@ -1,13 +1,19 @@
 """Render EXPERIMENTS.md from the benchmark result JSONs.
 
-Run after ``pytest benchmarks/ --benchmark-only``:
+Run after ``pytest benchmarks/ --benchmark-only``, from the repository
+root with ``src/`` importable (``PYTHONPATH=src``):
 
     python jobs/render_experiments.py > EXPERIMENTS.md
+
+Each table's heading and columns come from ``repro.exp.tables.TABLES``,
+the registry ``jobs/run_table.py`` prints a single table from.
 """
 from __future__ import annotations
 
 import json
 import pathlib
+
+from repro.exp.tables import TABLES
 
 RESULTS = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
 
@@ -16,8 +22,8 @@ HEADER = """\
 
 All numbers below were produced by `pytest benchmarks/ --benchmark-only`
 (raw rows in `benchmarks/results/*.json`; regenerate any table standalone
-with `python jobs/run_tableN.py`). "paper" columns are transcribed from
-the ICDE 2025 paper.
+with `python jobs/run_table.py <table>`). "paper" columns are transcribed
+from the ICDE 2025 paper.
 
 **Scale.** Datasets are generated at 300 tuples (Table V: 250; token
 study: Tax at 500/1000/2000) with Table II error *rates* preserved; the
@@ -29,98 +35,52 @@ not expected (synthetic data + simulated LLM); the comparison targets are
 """
 
 
+# Prose under a table, keyed like ``TABLES``; Table III's is computed.
+NOTES = {
+    "table2": """\
+Per-type rates split the overall Err% proportionally to the paper's
+per-type columns (which overlap in the original). Tax uses a 1% rate
+(0.11% of a 300-row subset would round to zero errors).""",
+    "tokens": """\
+FM_ED grows linearly in dataset size (one full-tuple prompt per
+tuple); ZeroED grows sublinearly (per-attribute prompts + a sampled
+labeling budget) — the same shape as the paper's Fig. 8, whose ~90%
+reduction is this trend at 200k tuples. One split differs: the
+paper's ZeroED is output-token-heavy because real LLMs emit verbose
+criteria/guideline text; our simulated completions are terse, so the
+repro's ZeroED cost is input-dominated.""",
+}
+
+
 def _f(x, nd=3):
     return f"{x:.{nd}f}" if isinstance(x, float) else str(x)
 
 
-def _md_table(rows: list[dict], cols: list[str], headers: list[str] | None = None) -> str:
-    headers = headers or cols
-    out = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+def _md_table(rows: list[dict], cols: tuple[str, ...]) -> str:
+    out = ["| " + " | ".join(cols) + " |", "|" + "---|" * len(cols)]
     for r in rows:
         out.append("| " + " | ".join(_f(r.get(c, "")) for c in cols) + " |")
     return "\n".join(out)
 
 
-def main() -> None:
-    print(HEADER)
-
-    t2 = json.loads((RESULTS / "table2.json").read_text())
-    print("## Table II — dataset statistics\n")
-    print(
-        _md_table(
-            t2,
-            ["dataset", "tuples", "attrs", "err_pct", "mv_pct", "pv_pct", "t_pct",
-             "o_pct", "rv_pct", "paper_tuples", "paper_attrs", "paper_err_pct"],
-        )
-    )
-    print(
-        "\nPer-type rates split the overall Err% proportionally to the paper's\n"
-        "per-type columns (which overlap in the original). Tax uses a 1% rate\n"
-        "(0.11% of a 300-row subset would round to zero errors).\n"
-    )
-
-    t3 = json.loads((RESULTS / "table3.json").read_text())
-    print("## Table III — method comparison (P / R / F1, measured | paper)\n")
-    print(
-        _md_table(
-            t3,
-            ["dataset", "method", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
+def _note(name: str, rows: list[dict]) -> str:
+    if name != "table3":
+        return NOTES.get(name, "")
     by_m: dict[str, list[float]] = {}
-    for r in t3:
+    for r in rows:
         by_m.setdefault(r["method"], []).append(r["f1"])
     ranking = sorted(by_m, key=lambda m: -sum(by_m[m]) / len(by_m[m]))
-    print(f"\nMean-F1 ranking (measured): {', '.join(ranking)}.\n")
+    return f"Mean-F1 ranking (measured): {', '.join(ranking)}."
 
-    t4 = json.loads((RESULTS / "table4.json").read_text())
-    print("## Table IV — ablations\n")
-    print(
-        _md_table(
-            t4,
-            ["dataset", "ablation", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
 
-    t5 = json.loads((RESULTS / "table5.json").read_text())
-    print("## Table V — LLM tiers\n")
-    print(
-        _md_table(
-            t5,
-            ["dataset", "model", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
-
-    t6 = json.loads((RESULTS / "table6.json").read_text())
-    print("## Table VI — sampling methods\n")
-    print(
-        _md_table(
-            t6,
-            ["dataset", "sampling", "prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1"],
-        )
-    )
-    print()
-
-    tk = json.loads((RESULTS / "tokens.json").read_text())
-    print("## Token cost (Fig. 8's numbers) — ZeroED vs FM_ED on Tax subsets\n")
-    print(
-        _md_table(
-            tk,
-            ["n_tuples", "zeroed_tokens", "fm_ed_tokens", "reduction_pct",
-             "zeroed_in", "zeroed_out", "fm_ed_in", "fm_ed_out"],
-        )
-    )
-    print(
-        "\nFM_ED grows linearly in dataset size (one full-tuple prompt per\n"
-        "tuple); ZeroED grows sublinearly (per-attribute prompts + a sampled\n"
-        "labeling budget) — the same shape as the paper's Fig. 8, whose ~90%\n"
-        "reduction is this trend at 200k tuples. One split differs: the\n"
-        "paper's ZeroED is output-token-heavy because real LLMs emit verbose\n"
-        "criteria/guideline text; our simulated completions are terse, so the\n"
-        "repro's ZeroED cost is input-dominated.\n"
-    )
+def main() -> None:
+    print(HEADER)
+    for name, table in TABLES.items():
+        rows = json.loads((RESULTS / f"{name}.json").read_text())
+        print(f"## {table.heading}\n")
+        print(_md_table(rows, table.columns))
+        note = _note(name, rows)
+        print(f"\n{note}\n" if note else "")
 
 
 if __name__ == "__main__":

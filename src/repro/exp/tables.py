@@ -2,8 +2,10 @@
 
 Each ``tableN_rows`` runs the corresponding experiment at repro scale and
 returns a list of row dicts carrying both our measured numbers and the
-paper's (from :mod:`repro.exp.paper_numbers`); ``format_rows`` renders
-them for job output and EXPERIMENTS.md.
+paper's (from :mod:`repro.exp.paper_numbers`). Tables IV–VI are one sweep
+(``_sweep``) over different variant configs. ``TABLES`` names each table's
+heading, rows call and columns, for the job printout (``format_rows``) and
+EXPERIMENTS.md.
 
 Repro scale: datasets are generated at ``REPRO_N`` tuples (vs the paper's
 1 000–7 390) with Table II error *rates* preserved; Table V runs at a
@@ -12,6 +14,9 @@ smaller size because it sweeps 5 LLM tiers × 6 datasets.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
+
 from pyspark.sql import SparkSession
 
 from repro.baselines import activeclean, dboost, fm_ed, katara, nadeef, raha
@@ -37,13 +42,34 @@ def repro_config(seed: int = 0, **overrides) -> ZeroEDConfig:
     return ZeroEDConfig(seed=seed, label_rate=REPRO_LABEL_RATE, **overrides)
 
 
+def get_spark(app: str) -> SparkSession:
+    """A quiet SparkSession for the ``jobs/`` entry points."""
+    spark = (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", "8")
+        .config("spark.ui.showConsoleProgress", "false")
+        .getOrCreate()
+    )
+    spark.sparkContext.setLogLevel("ERROR")
+    return spark
+
+
 def _tune_spark(spark: SparkSession) -> None:
     """Small-data settings for the harnesses (restored values don't matter
     for correctness — only shuffle width)."""
     spark.conf.set("spark.sql.shuffle.partitions", "8")
 
 
-def format_rows(rows: list[dict], keys: list[str]) -> str:
+def _measured_vs_paper(m: dict, pp: tuple | None) -> dict:
+    """Measured P/R/F1 beside the paper's ``pp``; None where it has none."""
+    pp = pp or (None, None, None)
+    return {
+        "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
+        "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
+    }
+
+
+def format_rows(rows: list[dict], keys: Sequence[str]) -> str:
     header = " | ".join(f"{k:>12s}" for k in keys)
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -123,17 +149,41 @@ def table3_rows(
             rows.append(
                 {
                     "dataset": name, "method": method,
-                    "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
-                    "paper_prec": pp[0] if pp else None,
-                    "paper_rec": pp[1] if pp else None,
-                    "paper_f1": pp[2] if pp else None,
+                    **_measured_vs_paper(m, pp),
                     "seconds": time.time() - t0,
                 }
             )
     return rows
 
 
-# ------------------------------------------------------------------ Table IV
+# ------------------------------------------------------- Tables IV, V, VI
+
+
+def _sweep(
+    spark: SparkSession,
+    datasets: Iterable[str],
+    n: int,
+    column: str,
+    variants: dict[str, ZeroEDConfig],
+    paper_table: dict,
+    seed: int,
+) -> list[dict]:
+    """Run every variant config on one ``ZeroEDRunner`` per dataset.
+
+    Each row names its variant under ``column`` and carries the variant's
+    P/R/F1 beside the paper's ``paper_table[variant][dataset]``. The
+    runner's stage cache computes the stages the variants share once per
+    dataset.
+    """
+    _tune_spark(spark)
+    rows = []
+    for name in datasets:
+        runner = ZeroEDRunner(spark, load_dataset(name, n=n, seed=seed))
+        for label, cfg in variants.items():
+            m = runner.run(cfg).metrics
+            pp = paper_table[label].get(name)
+            rows.append({"dataset": name, column: label, **_measured_vs_paper(m, pp)})
+    return rows
 
 
 def table4_rows(
@@ -141,26 +191,9 @@ def table4_rows(
     datasets: list[str] = TABLE3_DATASETS,
     seed: int = 0,
 ) -> list[dict]:
-    """Ablation study (paper Table IV); stages shared via ZeroEDRunner."""
-    _tune_spark(spark)
-    rows = []
-    for name in datasets:
-        ds = load_dataset(name, n=REPRO_N, seed=seed)
-        runner = ZeroEDRunner(spark, ds)
-        for label, cfg in ablation_configs(repro_config(seed)).items():
-            m = runner.run(cfg).metrics
-            pp = paper.PAPER_TABLE4[label].get(name)
-            rows.append(
-                {
-                    "dataset": name, "ablation": label,
-                    "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
-                    "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
-                }
-            )
-    return rows
-
-
-# ------------------------------------------------------------------- Table V
+    """Ablation study (paper Table IV)."""
+    configs = ablation_configs(repro_config(seed))
+    return _sweep(spark, datasets, REPRO_N, "ablation", configs, paper.PAPER_TABLE4, seed)
 
 
 def table5_rows(
@@ -170,26 +203,8 @@ def table5_rows(
     seed: int = 0,
 ) -> list[dict]:
     """ZeroED with different LLM tiers (paper Table V)."""
-    _tune_spark(spark)
-    models = models or list(paper.PAPER_TABLE5)
-    rows = []
-    for name in datasets:
-        ds = load_dataset(name, n=TABLE5_N, seed=seed)
-        runner = ZeroEDRunner(spark, ds)
-        for model in models:
-            m = runner.run(repro_config(seed, model=model)).metrics
-            pp = paper.PAPER_TABLE5[model].get(name)
-            rows.append(
-                {
-                    "dataset": name, "model": model,
-                    "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
-                    "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
-                }
-            )
-    return rows
-
-
-# ------------------------------------------------------------------ Table VI
+    configs = {m: repro_config(seed, model=m) for m in models or paper.PAPER_TABLE5}
+    return _sweep(spark, datasets, TABLE5_N, "model", configs, paper.PAPER_TABLE5, seed)
 
 
 def table6_rows(
@@ -199,22 +214,8 @@ def table6_rows(
     seed: int = 0,
 ) -> list[dict]:
     """Sampling-method comparison (paper Table VI)."""
-    _tune_spark(spark)
-    rows = []
-    for name in datasets:
-        ds = load_dataset(name, n=REPRO_N, seed=seed)
-        runner = ZeroEDRunner(spark, ds)
-        for method in methods:
-            m = runner.run(repro_config(seed, sampling=method)).metrics
-            pp = paper.PAPER_TABLE6[method].get(name)
-            rows.append(
-                {
-                    "dataset": name, "sampling": method,
-                    "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
-                    "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
-                }
-            )
-    return rows
+    configs = {m: repro_config(seed, sampling=m) for m in methods}
+    return _sweep(spark, datasets, REPRO_N, "sampling", configs, paper.PAPER_TABLE6, seed)
 
 
 # ------------------------------------------------------- token cost (Fig. 8)
@@ -251,3 +252,47 @@ def token_cost_rows(
             }
         )
     return rows
+
+
+# ----------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True)
+class Table:
+    """One paper table: its heading, the call that measures its rows, and
+    the row keys it reports, in order."""
+
+    heading: str
+    rows: Callable[..., list[dict]]
+    columns: tuple[str, ...]
+
+
+PRF_COLUMNS = ("prec", "rec", "f1", "paper_prec", "paper_rec", "paper_f1")
+
+# Keyed by the name the benchmarks save each table's rows under
+# (``benchmarks/results/<name>.json``). ``jobs/run_table.py`` prints a
+# table from here; ``jobs/render_experiments.py`` renders EXPERIMENTS.md.
+TABLES: dict[str, Table] = {
+    "table2": Table(
+        "Table II — dataset statistics",
+        table2_rows,
+        ("dataset", "tuples", "attrs", "err_pct", "mv_pct", "pv_pct", "t_pct",
+         "o_pct", "rv_pct", "paper_tuples", "paper_attrs", "paper_err_pct"),
+    ),
+    "table3": Table(
+        "Table III — method comparison (P / R / F1, measured | paper)",
+        table3_rows,
+        ("dataset", "method", *PRF_COLUMNS),
+    ),
+    "table4": Table("Table IV — ablations", table4_rows, ("dataset", "ablation", *PRF_COLUMNS)),
+    "table5": Table("Table V — LLM tiers", table5_rows, ("dataset", "model", *PRF_COLUMNS)),
+    "table6": Table(
+        "Table VI — sampling methods", table6_rows, ("dataset", "sampling", *PRF_COLUMNS)
+    ),
+    "tokens": Table(
+        "Token cost (Fig. 8's numbers) — ZeroED vs FM_ED on Tax subsets",
+        token_cost_rows,
+        ("n_tuples", "zeroed_tokens", "fm_ed_tokens", "reduction_pct",
+         "zeroed_in", "zeroed_out", "fm_ed_in", "fm_ed_out"),
+    ),
+}

@@ -38,10 +38,10 @@ def label_representatives(
     """Label the representative cells of ``attr``; returns {row_pos: 0/1}."""
     labels: dict[int, int] = {}
     cols = [attr] + [c for c in related if c in dirty.columns]
+    gtext = guideline.render() if guideline is not None else "(no guideline)"
     for start in range(0, len(rep_positions), batch_size):
         batch = rep_positions[start: start + batch_size]
         rows = dirty.iloc[batch][cols].to_dict("records")
-        gtext = guideline.render() if guideline is not None else "(no guideline)"
         prompt = labeling_prompt(attr, gtext, rows)
 
         def _judge() -> list[int]:

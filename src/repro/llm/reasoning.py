@@ -25,6 +25,7 @@ import pandas as pd
 
 from repro.features.criteria import Criterion, is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_shape
+from repro.features.stats import robust_sd
 from repro.llm.knowledge import near_miss_typo, world_format_violation
 from repro.llm.model import SimulatedLLM
 
@@ -43,10 +44,7 @@ def _robust_range(floats: list[float], sigma: float) -> tuple[float, float]:
     """Median ± sigma·(MAD-based scale); robust to outliers in the sample."""
     x = np.asarray(floats, dtype=float)
     med = float(np.median(x))
-    mad = float(np.median(np.abs(x - med)))
-    sd = 1.4826 * mad
-    if sd == 0:
-        sd = max(1.0, abs(med) * 0.05)
+    sd = robust_sd(med, float(np.median(np.abs(x - med))))
     return med - sigma * sd, med + sigma * sd
 
 

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
+from repro.datasets.registry import load_dataset
 from repro.training.classifier import train_predict_attribute
 
 
@@ -174,3 +175,41 @@ def test_no_spark_job_after_stats(spark, flights_tiny):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+
+
+def _degenerate_hospital(n: int):
+    """Hospital plus an all-missing, a constant and a near-unique attribute."""
+    ds = load_dataset("hospital", n=n, seed=0)
+    extra = {
+        "all_missing": [""] * n,
+        "constant": ["x"] * n,
+        "near_unique": [f"u{i}" for i in range(n - 1)] + ["u0"],
+    }
+    return dataclasses.replace(
+        ds, dirty=ds.dirty.assign(**extra), clean=ds.clean.assign(**extra), error_types=None
+    )
+
+
+def test_degenerate_attributes_run_every_config(spark):
+    """Every Table IV config and AGC sampling complete on one runner. The
+    degenerate attributes' flags are not asserted: the detector can flag a
+    constant attribute's cells through its related blocks."""
+    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    ds = _degenerate_hospital(80)
+    runner = ZeroEDRunner(spark, ds)
+    base = ZeroEDConfig(label_rate=0.1)
+    configs = {**ablation_configs(base), "AGC": dataclasses.replace(base, sampling="agc")}
+    for name, cfg in configs.items():
+        res = runner.run(cfg)
+        assert res.mask.shape == ds.dirty.shape, name
+        assert list(res.mask.columns) == ds.attrs, name
+        assert set(res.diagnostics["n_labeled"]) == set(ds.attrs), name
+
+
+def test_three_row_table_runs(spark):
+    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    ds = _degenerate_hospital(80)
+    ds = dataclasses.replace(ds, dirty=ds.dirty.head(3), clean=ds.clean.head(3))
+    res = ZeroEDRunner(spark, ds).run(ZeroEDConfig(label_rate=0.1))
+    assert res.mask.shape == (3, len(ds.attrs))
+    assert set(res.diagnostics["n_labeled"]) == set(ds.attrs)
