@@ -10,7 +10,11 @@ Prints one JSON record per (dataset, config):
 * each attribute's final detector loss, kept apart from the diagnostics
   because a change in the order the detector sums its loss moves it in
   the last digits without changing anything else;
-* a hash of every attribute's cluster assignments and representatives.
+* a hash of every attribute's cluster assignments and representatives;
+* a hash of every attribute's representative labels (the ``labels``
+  stage);
+* when the config uses guidelines, a hash of every attribute's guideline
+  text.
 
 The records cover the 7 datasets at ``REPRO_N`` tuples under the five
 Table IV configs plus AGC sampling, and Tax at n=2000 under the Fig. 8
@@ -50,10 +54,12 @@ def _digest(parts) -> str:
 
 def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
     res = runner.run(cfg)
-    clusters = runner._stage("clusters", cfg)  # the cached stage the run read
+    # the cached stages the run read
+    clusters = runner._stage("clusters", cfg)
+    labels = runner._stage("labels", cfg)
     diagnostics = dict(res.diagnostics)
     detector = diagnostics.pop("detector")
-    return {
+    record = {
         "dataset": runner.ds.name,
         "n": len(runner.ds.dirty),
         "config": name,
@@ -71,7 +77,18 @@ def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
                 np.array(sorted(c.representatives.items()), dtype=np.int64),
             )
         ),
+        "labels": _digest(
+            part
+            for a, l in labels.items()
+            for part in (a, np.array(sorted(l.items()), dtype=np.int64).reshape(-1, 2))
+        ),
     }
+    if cfg.use_guidelines:
+        guidelines = runner._stage("guidelines", cfg)
+        record["guidelines"] = _digest(
+            part for a, g in guidelines.items() for part in (a, g.render())
+        )
+    return record
 
 
 def runs():

@@ -24,12 +24,14 @@ from pyspark.sql import SparkSession
 
 from repro.datasets.base import Dataset
 
+# Ground-truth tuple labels the detector trains on.
+LABEL_BUDGET = 20
+
 
 def detect(
     spark: SparkSession,
     ds: Dataset,
     *,
-    label_budget: int = 20,
     seed: int = 0,
 ) -> pd.DataFrame:
     g = np.random.default_rng(seed)
@@ -37,7 +39,7 @@ def detect(
     text = ds.dirty.apply(lambda r: " ".join(str(v) for v in r), axis=1)
     tuple_dirty = ds.error_mask.any(axis=1)
 
-    lab_idx = sorted(g.choice(n, min(label_budget, n), replace=False))
+    lab_idx = sorted(g.choice(n, min(LABEL_BUDGET, n), replace=False))
     train = spark.createDataFrame(
         pd.DataFrame(
             {

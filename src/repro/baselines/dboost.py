@@ -5,7 +5,7 @@ histogram over tuple expansions) and flags low-probability cells. Our
 reimplementation keeps that core with the statistical configuration the
 paper cites: per attribute,
 
-* numeric attributes: robust z-score (median/MAD) beyond ``z_cut``, plus
+* numeric attributes: robust z-score (median/MAD) beyond :data:`Z_CUT`, plus
   unparseable values in predominantly numeric columns,
 * all attributes: histogram outliers — values and L2 patterns whose
   frequency falls below a small fraction of the attribute's dominant
@@ -28,14 +28,15 @@ from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import l2_pattern
 from repro.features.stats import DatasetStats, collect_stats
 
+Z_CUT = 4.0
+# A value or pattern bin is rare at or below this share of the rows.
+RARE_SHARE = 0.01
+
 
 def detect(
     spark: SparkSession,
     ds: Dataset,
     stats: DatasetStats | None = None,
-    *,
-    z_cut: float = 4.0,
-    rare_share: float = 0.01,
 ) -> pd.DataFrame:
     """Boolean detection mask (rows × attrs)."""
     stats = stats or collect_stats(ds.dirty_spark(spark), ds.attrs)
@@ -48,7 +49,7 @@ def detect(
         pc = stats.pattern_counts(a, "l2")
         # value histograms are meaningful only on low-cardinality columns
         discrete = len(vc) / max(1, n) <= 0.3
-        rare_cut = max(1, int(rare_share * n))
+        rare_cut = max(1, int(RARE_SHARE * n))
         col = []
         for v in ds.dirty[a]:
             if is_missing(v):
@@ -63,7 +64,7 @@ def detect(
                     flag = True
                 else:
                     z = abs(x - num["median"]) / num["robust_sd"]
-                    flag = z > z_cut
+                    flag = z > Z_CUT
             # histogram outliers: rare value bins in discrete columns,
             # rare pattern bins everywhere
             if not flag and discrete and vc.get(v, 0) <= rare_cut:

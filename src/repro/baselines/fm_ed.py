@@ -7,7 +7,8 @@ tuple-local context. The simulated LLM therefore applies
 :func:`~repro.llm.reasoning.tuple_local_judgment` (missing values,
 near-miss typos, garbage runs, digits-in-words, stray whitespace) with
 elevated tier noise (no data context to ground its judgment), and cannot
-see pattern violations, outliers, or rule violations (paper Table I).
+see pattern violations, outliers, or rule violations (paper Table I). It
+queries the simulated LLM's default model, Table III's qwen2.5-72b.
 Token accounting charges one full-tuple prompt per tuple — the cost that
 grows linearly with dataset size in Fig. 8.
 """
@@ -27,10 +28,9 @@ def detect(
     spark: SparkSession,
     ds: Dataset,
     *,
-    model: str = "qwen2.5-72b",
     seed: int = 0,
 ) -> tuple[pd.DataFrame, Usage]:
-    llm = SimulatedLLM(model, seed)
+    llm = SimulatedLLM(seed=seed)
     flip = min(0.45, llm.tier.flip * 1.5)  # context-free judgments are noisier
     records = ds.dirty.to_dict("records")
     mask = pd.DataFrame(False, index=ds.dirty.index, columns=ds.attrs)

@@ -49,13 +49,12 @@ def detect(
     stats: DatasetStats | None = None,
     *,
     labeled_tuples: int = 2,
-    clusters_per_attr: int | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
     stats = stats or collect_stats(ds.dirty_spark(spark), ds.attrs)
     n = len(ds.dirty)
     truth = ds.error_mask  # the user's tuple labels come from ground truth
-    k = clusters_per_attr or max(2, labeled_tuples + 2)
+    k = max(2, labeled_tuples + 2)
 
     # --- per-attribute strategy-output clustering
     assigns: dict[str, np.ndarray] = {}

@@ -45,10 +45,14 @@ def nmi_matrix(stats: DatasetStats) -> dict[tuple[str, str], float]:
     return out
 
 
-def top_related(stats: DatasetStats, k: int, max_distinct_ratio: float = 0.5) -> dict[str, list[str]]:
+# Attributes whose distinct ratio exceeds this are near-keys.
+MAX_DISTINCT_RATIO = 0.5
+
+
+def top_related(stats: DatasetStats, k: int) -> dict[str, list[str]]:
     """Top-k NMI-correlated attributes per attribute (k=0 → empty sets).
 
-    Near-key attributes (distinct ratio > ``max_distinct_ratio``) are
+    Near-key attributes (distinct ratio > :data:`MAX_DISTINCT_RATIO`) are
     excluded as *context*: a unique ID column trivially "determines" every
     other attribute (H(Y|key) = 0, exactly, even on dirty data), so raw
     NMI would rank keys above genuine dependency partners — but a key
@@ -60,7 +64,7 @@ def top_related(stats: DatasetStats, k: int, max_distinct_ratio: float = 0.5) ->
     m = nmi_matrix(stats)
     n = max(1, stats.n)
     contextual = [
-        b for b in stats.attrs if len(stats.value_counts[b]) / n <= max_distinct_ratio
+        b for b in stats.attrs if len(stats.value_counts[b]) / n <= MAX_DISTINCT_RATIO
     ]
     out = {}
     for a in stats.attrs:

@@ -7,7 +7,9 @@ here, their results are read off the single-pass Spark statistics that
 numeric summaries, null rates, dependency majorities), which is exactly
 what the paper's generated functions compute — and the LLM turns the
 resulting distribution report plus sampled tuples into an attribute-
-specific :class:`~repro.llm.reasoning.Guideline`.
+specific :class:`~repro.llm.reasoning.Guideline`: the text the labeling
+prompts carry, and the :class:`~repro.features.criteria.Criterion` checks
+the labeling runs (the same executable check as the criteria features).
 """
 from __future__ import annotations
 

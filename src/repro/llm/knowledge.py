@@ -11,6 +11,7 @@ from the lexicon yet within edit distance 2 of a lexicon word.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from repro.datasets import schemas as _s
@@ -44,8 +45,6 @@ WORLD_LEXICON: frozenset[str] = frozenset(
     for w in phrase.split()
 )
 
-
-import re
 
 # Formats an LLM knows from pretraining, keyed by attribute-name hints.
 # FM_ED sees attribute names in its per-tuple prompt, so "phone: 2053580167"

@@ -7,8 +7,11 @@ Each public function mirrors one LLM reasoning task from the paper:
   from a single tuple (used by FM_ED and the w/o-Guidelines ablation),
 * :func:`generate_analysis_functions` / :class:`AnalysisFunction` —
   §III-C step 1 (functions that parse the full dataset),
-* :func:`build_guideline` / :class:`Guideline` — §III-C step 2,
-* :func:`guideline_judgment` — in-context labeling against a guideline,
+* :func:`build_guideline` / :class:`Guideline` — §III-C step 2: the
+  distribution summary compiled into guideline text and
+  :class:`~repro.features.criteria.Criterion` checks,
+* :func:`guideline_judgment` — in-context labeling against a guideline:
+  its checks, plus the surface errors a value shows by itself,
 * :func:`refine_criteria` — Algorithm 1's contrastive in-context prompting,
 * :func:`augment_errors` — Algorithm 1's LLM error augmentation.
 
@@ -18,7 +21,8 @@ reports, and labeled value groups. Ground truth never enters here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -28,9 +32,16 @@ from repro.features.patterns import l2_pattern, l3_shape
 from repro.features.stats import robust_sd
 from repro.llm.knowledge import near_miss_typo, world_format_violation
 from repro.llm.model import SimulatedLLM
+from repro.llm.prompts import (
+    analysis_fn_prompt,
+    augmentation_prompt,
+    contrastive_prompt,
+    guideline_prompt,
+)
 
 _GARBAGE_RUN = re.compile(r"[qxjvkwz]{3,}")
 _DIGIT_IN_WORD = re.compile(r"[a-zA-Z]\d+[a-zA-Z]")
+_TOKEN_SEP = re.compile(r"[^0-9a-zA-Z]+")
 
 
 # --------------------------------------------------------------- criteria
@@ -55,8 +66,6 @@ def _pattern_criterion(attr: str, vals: list[str], note: str) -> Criterion:
     attributes would make every run-length pattern near-unique, so only
     the class-sequence shape is constrained there.
     """
-    from collections import Counter
-
     l2s = [l2_pattern(v) for v in vals]
     top_share = max(Counter(l2s).values()) / len(l2s)
     if top_share >= 0.3:
@@ -119,21 +128,19 @@ def derive_criteria(
     ]
     if not vals:
         return crits
-    if tier.breadth >= 2:
-        crits.append(_pattern_criterion(attr, vals, ""))
-    if tier.breadth >= 3:
-        floats = [x for v in vals if (x := try_float(v)) is not None]
-        if len(floats) >= 0.7 * len(vals):
-            lo, hi = _robust_range(floats, tier.sigma)
-            crits.append(
-                Criterion(attr, "range", f"{attr} must be within a plausible range",
-                          {"lo": lo, "hi": hi})
-            )
-        elif len(set(vals)) <= 0.6 * len(vals):
-            crits.append(
-                Criterion(attr, "domain", f"{attr} must be a known domain value",
-                          {"values": set(vals)})
-            )
+    crits.append(_pattern_criterion(attr, vals, ""))
+    floats = [x for v in vals if (x := try_float(v)) is not None]
+    if len(floats) >= 0.7 * len(vals):
+        lo, hi = _robust_range(floats, tier.sigma)
+        crits.append(
+            Criterion(attr, "range", f"{attr} must be within a plausible range",
+                      {"lo": lo, "hi": hi})
+        )
+    elif len(set(vals)) <= 0.6 * len(vals):
+        crits.append(
+            Criterion(attr, "domain", f"{attr} must be a known domain value",
+                      {"values": set(vals)})
+        )
     if tier.breadth >= 4:
         lens = [len(v) for v in vals]
         crits.append(
@@ -152,30 +159,30 @@ def derive_criteria(
 # --------------------------------------------------- tuple-local judgment
 
 
+def _surface_error(value: str) -> bool:
+    """An error visible in the value's own characters: stray whitespace, a
+    garbage consonant run, or a near-miss typo of a known word."""
+    return (
+        value != value.strip()
+        or _GARBAGE_RUN.search(value.lower()) is not None
+        or any(near_miss_typo(t) for t in _TOKEN_SEP.split(value))
+    )
+
+
 def tuple_local_judgment(attr: str, value: str) -> bool:
     """Error judgment from a single cell, no dataset context (FM_ED power).
 
-    Catches missing placeholders, near-miss typos of known words, digits
-    embedded inside words, garbage consonant runs, and stray whitespace —
-    but cannot see pattern/rule violations or outliers, which need the
-    data context FM_ED lacks (paper Table I).
+    Catches missing placeholders, surface errors, well-known formats the
+    attribute name implies, and digits embedded inside words — but cannot
+    see pattern/rule violations or outliers, which need the data context
+    FM_ED lacks (paper Table I).
     """
-    if is_missing(value):
-        return True
-    if value != value.strip():
-        return True
-    if _GARBAGE_RUN.search(value.lower()):
-        return True
-    if world_format_violation(attr, value):
-        return True
-    for token in re.split(r"[^0-9a-zA-Z]+", value):
-        if not token:
-            continue
-        if _DIGIT_IN_WORD.search(token):
-            return True
-        if near_miss_typo(token):
-            return True
-    return False
+    return (
+        is_missing(value)
+        or _surface_error(value)
+        or world_format_violation(attr, value)
+        or any(_DIGIT_IN_WORD.search(t) for t in _TOKEN_SEP.split(value))
+    )
 
 
 # ------------------------------------------------------ analysis functions
@@ -205,11 +212,9 @@ def generate_analysis_functions(
     llm: SimulatedLLM, attr: str, sample_rows: list[dict]
 ) -> list[AnalysisFunction]:
     """Step 1 of guideline generation: pick analysis functions to run."""
-    from repro.llm.prompts import analysis_fn_prompt
-
     return llm.complete(
         analysis_fn_prompt(attr, sample_rows),
-        lambda: list(ANALYSIS_KINDS[: max(3, llm.tier.breadth)]),
+        lambda: list(ANALYSIS_KINDS[: llm.tier.breadth]),
         "analysis_functions",
     )
 
@@ -219,54 +224,24 @@ def generate_analysis_functions(
 
 @dataclass
 class Guideline:
-    """Attribute-specific ED guideline: rendered text + structured checks.
+    """Attribute-specific ED guideline: the text labeling prompts embed (and
+    get token-charged for), and the checks :func:`guideline_judgment` runs.
 
-    The structured fields are what :func:`guideline_judgment` executes;
-    the text is what labeling prompts embed (and get token-charged for).
-    Pattern checks operate on two granularities: rare L3 *shapes* always
-    indicate format violations, while rare exact L2 patterns only count on
-    structured attributes (those with a dominant L2 pattern) — free-text
-    attributes make every run-length pattern near-unique.
+    The checks are ordinary :class:`~repro.features.criteria.Criterion`
+    objects, so guideline labeling, the criteria features and Algorithm 1's
+    verification share one executable check.
     """
 
     attr: str
-    n: int
-    value_counts: dict = field(default_factory=dict)
-    pattern_counts: dict = field(default_factory=dict)  # exact L2
-    shape_counts: dict = field(default_factory=dict)  # L3 shapes
-    top_l2_share: float = 0.0
-    numeric: dict | None = None  # {"lo","hi","frac"}
-    domain_like: bool = False
-    domain: set = field(default_factory=set)
-    rare_value_cut: int = 1
-    rare_pattern_cut: int = 1
-    rare_shape_share: float = 0.04
-    dep_mappings: dict = field(default_factory=dict)
-    # other_attr -> {lhs_value: (majority_value, purity, group_size)}
+    text: str
+    checks: list[Criterion]
 
     def render(self) -> str:
-        top_vals = sorted(self.value_counts.items(), key=lambda kv: -kv[1])[:8]
-        top_pats = sorted(self.pattern_counts.items(), key=lambda kv: -kv[1])[:5]
-        lines = [
-            f"Guideline for attribute '{self.attr}' ({self.n} values).",
-            f"Common values: {top_vals}. Common formats: {top_pats}.",
-            f"Rare-shape share cut: {self.rare_shape_share}; "
-            f"rare-format cut: <= {self.rare_pattern_cut} occurrences.",
-        ]
-        if self.numeric:
-            lines.append(
-                f"Numeric range: [{self.numeric['lo']:.2f}, {self.numeric['hi']:.2f}]."
-            )
-        if self.domain_like:
-            lines.append(f"Closed domain of {len(self.domain)} known values.")
-        for other, m in self.dep_mappings.items():
-            lines.append(f"Depends on '{other}' ({len(m)} group majorities known).")
-        lines.append(
-            "Detect: missing placeholders; typos (near-miss of known words); "
-            "rare-format pattern violations; numeric outliers; values "
-            "contradicting their group majority under a dependency."
-        )
-        return "\n".join(lines)
+        return self.text
+
+
+# A shape is rare when fewer than this share of the attribute's values have it.
+RARE_SHAPE_SHARE = 0.04
 
 
 def build_guideline(
@@ -275,39 +250,70 @@ def build_guideline(
     summary: dict,
     sample_rows: list[dict],
 ) -> Guideline:
-    """Step 2: turn a full-data distribution summary into a guideline."""
-    from repro.llm.prompts import guideline_prompt
+    """Step 2: compile a full-data distribution summary into a guideline.
+
+    The checks: a numeric range (median ± 5 robust sd) or a closed domain;
+    the L3 shapes that are not rare; the L2 formats that are not rare, on
+    structured attributes only (a dominant L2 pattern: free text makes
+    every run-length pattern near-unique); and per related attribute, a
+    dependency check holding a value to its group's majority.
+    """
 
     def _build() -> Guideline:
         n = summary["n"]
         vc: dict[str, int] = summary["value_counts"]
         pc: dict[str, int] = summary["pattern_counts_l2"]
         sc: dict[str, int] = summary.get("shape_counts", {})
-        top_l2_share = max(pc.values()) / n if pc and n else 0.0
-        numeric = None
-        num = summary.get("numeric")
-        if num and num["frac"] >= 0.7:
-            sd = num.get("robust_sd") or (num["std"] or max(1.0, abs(num["mean"]) * 0.1))
-            med = num.get("median", num["mean"])
-            numeric = {"lo": med - 5.0 * sd, "hi": med + 5.0 * sd, "frac": num["frac"]}
-        domain_like = len(vc) / max(1, n) <= 0.3 and numeric is None
-        rare_value_cut = 1 if n < 400 else max(1, int(0.003 * n))
         rare_pattern_cut = max(1, int(0.008 * n))
-        domain = {v for v, c in vc.items() if c > rare_value_cut} if domain_like else set()
-        return Guideline(
-            attr=attr,
-            n=n,
-            value_counts=vc,
-            pattern_counts=pc,
-            shape_counts=sc,
-            top_l2_share=top_l2_share,
-            numeric=numeric,
-            domain_like=domain_like,
-            domain=domain,
-            rare_value_cut=rare_value_cut,
-            rare_pattern_cut=rare_pattern_cut,
-            dep_mappings=summary.get("dep_mappings", {}),
-        )
+        checks: list[Criterion] = []
+        notes: list[str] = []
+        num = summary.get("numeric")
+        numeric = bool(num) and num["frac"] >= 0.7
+        if numeric:
+            sd = num["robust_sd"]
+            lo, hi = num["median"] - 5.0 * sd, num["median"] + 5.0 * sd
+            checks.append(Criterion(attr, "range", f"{attr} must be within the numeric range",
+                                    {"lo": lo, "hi": hi}))
+            notes.append(f"Numeric range: [{lo:.2f}, {hi:.2f}].")
+        if sc:
+            common = {s for s, c in sc.items() if c / max(1, n) >= RARE_SHAPE_SHARE}
+            checks.append(Criterion(attr, "pattern", f"{attr} character shape must not be rare",
+                                    {"level": "shape3", "patterns": common}))
+        if pc and n and max(pc.values()) / n >= 0.3:
+            common = {p for p, c in pc.items() if c > rare_pattern_cut}
+            checks.append(Criterion(attr, "pattern", f"{attr} format must not be rare",
+                                    {"level": "l2", "patterns": common}))
+        if len(vc) / max(1, n) <= 0.3 and not numeric:
+            rare_value_cut = 1 if n < 400 else max(1, int(0.003 * n))
+            domain = {v for v, c in vc.items() if c > rare_value_cut}
+            checks.append(Criterion(attr, "domain", f"{attr} must be a known domain value",
+                                    {"values": domain}))
+            notes.append(f"Closed domain of {len(domain)} known values.")
+        for other, groups in summary.get("dep_mappings", {}).items():
+            # 0.6 purity keeps dependency checks alive on very dirty data
+            # (34% error rate leaves FD groups only ~2/3 pure) while still
+            # rejecting genuinely non-functional relations
+            mapping = {
+                lhs: {majority}
+                for lhs, (majority, purity, size) in groups.items()
+                if size >= 3 and purity >= 0.6
+            }
+            checks.append(Criterion(attr, "dependency", f"{attr} must match its {other} group",
+                                    {"other": other, "mapping": mapping}))
+            notes.append(f"Depends on '{other}' ({len(groups)} group majorities known).")
+        top_vals = sorted(vc.items(), key=lambda kv: -kv[1])[:8]
+        top_pats = sorted(pc.items(), key=lambda kv: -kv[1])[:5]
+        text = "\n".join([
+            f"Guideline for attribute '{attr}' ({n} values).",
+            f"Common values: {top_vals}. Common formats: {top_pats}.",
+            f"Rare-shape share cut: {RARE_SHAPE_SHARE}; "
+            f"rare-format cut: <= {rare_pattern_cut} occurrences.",
+            *notes,
+            "Detect: missing placeholders; typos (near-miss of known words); "
+            "rare-format pattern violations; numeric outliers; values "
+            "contradicting their group majority under a dependency.",
+        ])
+        return Guideline(attr, text, checks)
 
     report = _summary_report(summary)
     return llm.complete(guideline_prompt(attr, report, sample_rows), _build, "guideline")
@@ -331,37 +337,13 @@ def _summary_report(summary: dict) -> str:
 
 
 def guideline_judgment(g: Guideline, value: str, row: dict) -> bool:
-    """Label one value against its guideline (True = error)."""
-    if is_missing(value):
-        return True
-    for other, mapping in g.dep_mappings.items():
-        entry = mapping.get(row.get(other, ""))
-        if entry is not None:
-            majority, purity, size = entry
-            # 0.6 purity keeps dependency checks alive on very dirty data
-            # (34% error rate leaves FD groups only ~2/3 pure) while still
-            # rejecting genuinely non-functional relations
-            if size >= 3 and purity >= 0.6 and value != majority:
-                return True
-    if g.numeric:
-        x = try_float(value)
-        if x is None or not (g.numeric["lo"] <= x <= g.numeric["hi"]):
-            return True
-    if g.shape_counts:
-        share = g.shape_counts.get(l3_shape(value), 0) / max(1, g.n)
-        if share < g.rare_shape_share:
-            return True
-    if g.top_l2_share >= 0.3 and g.pattern_counts:
-        if g.pattern_counts.get(l2_pattern(value), 0) <= g.rare_pattern_cut:
-            return True
-    if g.domain_like and value not in g.domain:
-        return True
-    for token in re.split(r"[^0-9a-zA-Z]+", value):
-        if token and near_miss_typo(token):
-            return True
-    if value != value.strip() or _GARBAGE_RUN.search(value.lower()):
-        return True
-    return False
+    """Label one value against its guideline (True = error): a missing
+    placeholder, a failed check, or a surface error."""
+    return (
+        is_missing(value)
+        or not all(c.evaluate(value, row) for c in g.checks)
+        or _surface_error(value)
+    )
 
 
 # ------------------------------------------------------ contrastive refine
@@ -381,7 +363,6 @@ def refine_criteria(
     clean group instead of the initial random sample, and keeps dependency
     mappings learned from clean rows only.
     """
-    from repro.llm.prompts import contrastive_prompt
 
     def _build() -> list[Criterion]:
         vals = _nonmissing(clean_values)
@@ -441,8 +422,6 @@ def augment_errors(
     Only the copied rows are turned into dicts; the prompt and a swap read
     the ``attr`` column alone.
     """
-    from repro.llm.prompts import augmentation_prompt
-
     if len(clean) == 0 or n_needed <= 0:
         return []
     values = clean[attr].tolist()

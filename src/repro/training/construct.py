@@ -111,9 +111,7 @@ def construct_training_data(
     td.real_labels = [propagated[p] for p in td.real_positions]
 
     if use_verification:
-        n_err = sum(td.real_labels)
-        n_clean = len(td.real_labels) - n_err
-        need = min(max(0, n_clean - n_err), max_synth)
+        need = min(max(0, td.n_clean - td.n_errors), max_synth)
         # Full rows: synthetic variants must featurize with the same context
         # slots (related-of-related vicinity, dependency criteria) as real rows,
         # otherwise the detector can shortcut on "missing context" artifacts.

@@ -45,8 +45,8 @@ def test_make_guidelines_covers_attrs(guidelines, hospital_stats):
 
 def test_guideline_numeric_only_for_numeric_attr(guidelines):
     g, _ = guidelines
-    assert g["sample"].numeric is not None
-    assert g["city"].numeric is None
+    assert "range" in [c.kind for c in g["sample"].checks]
+    assert "range" not in [c.kind for c in g["city"].checks]
 
 
 def test_label_representatives_batches_and_tokens(guidelines, hospital_tiny, related):
