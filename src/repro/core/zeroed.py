@@ -1,19 +1,22 @@
 """ZeroED end-to-end orchestration (paper §III, Fig. 2/3).
 
 :class:`ZeroEDRunner` wires the four steps — feature representation,
-clustering-based sampling + LLM labeling, training-data construction, and
-MLP detection — over one dataset, with *stage caching*. Each cached stage
-declares once, in :data:`STAGES`, the config fields and the upstream stages
-it reads; its cache key is derived from them, so the Table IV ablations and
-Table V/VI sweeps share the stages their configs don't change. A cache
-entry also records the LLM token usage of its stage and of every stage it
-read, and a run is charged each stage's usage once, so a run served from
+clustering-based sampling + LLM labeling, training-data construction
+(Algorithm 1, the ``training`` stage) and MLP detection (the ``detector``
+stage) — over one dataset, as *cached stages*. Each stage declares once,
+in :data:`STAGES`, the config fields and the upstream stages it reads; its
+cache key is derived from them, so the Table IV ablations and Table V/VI
+sweeps share the stages their configs don't change, and re-running a
+config recomputes nothing. A cache entry also records the LLM token usage
+of its stage and of every stage it read, and a run is charged the
+``detector`` stage's record, each stage's usage once, so a run served from
 the cache reports the token cost of a cold run.
 
-Ablation flags map to Table IV rows: ``use_guidelines`` (w/o Guid.),
-``use_criteria`` (w/o Crit.), ``use_correlated`` (w/o Corr.),
-``use_verification`` (w/o Veri.). The settings the paper fixes and no
-experiment varies are constants: :data:`N_RELATED`,
+Ablation flags map to Table IV rows: ``use_guidelines`` (w/o Guid.,
+read by ``labels``), ``use_criteria`` (w/o Crit., read by ``features``),
+``use_correlated`` (w/o Corr., read by ``related``) and
+``use_verification`` (w/o Veri., read by ``training``). The settings the
+paper fixes and no experiment varies are constants: :data:`N_RELATED`,
 :data:`N_PROMPT_SAMPLES`, and the labeling batch size and detector shape
 defaults of :func:`~repro.labeling.labeler.label_representatives` and
 :func:`~repro.training.classifier.train_predict_attribute`.
@@ -78,6 +81,8 @@ STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "clusters": (("sampling", "label_rate", "seed"), ("features",)),
     "guidelines": (("model", "seed"), ("stats", "related", "samples")),
     "labels": (("model", "use_guidelines", "seed"), ("clusters", "related", "guidelines")),
+    "training": (("model", "use_verification", "seed"), ("clusters", "labels", "related")),
+    "detector": (("seed",), ("features", "training")),
 }
 
 
@@ -186,30 +191,36 @@ class ZeroEDRunner:
             for a in self.ds.attrs
         }
 
-    # --------------------------------------------------------------- run
-    def run(self, cfg: ZeroEDConfig) -> ZeroEDResult:
-        charged: dict = {}
-        feats = self._stage("features", cfg, charged)
-        clustering = self._stage("clusters", cfg, charged)
-        labels = self._stage("labels", cfg, charged)
-        related = self._stage("related", cfg, charged)
-
-        llm = SimulatedLLM(cfg.model, cfg.seed)
-        training = {
+    def _build_training(self, c, read):
+        clustering, labels, related = read("clusters"), read("labels"), read("related")
+        return {
             a: construct_training_data(
-                llm, self.ds.dirty, a, clustering[a], labels[a], related[a],
-                use_verification=cfg.use_verification,
+                c.llm, self.ds.dirty, a, clustering[a], labels[a], related[a],
+                use_verification=c.use_verification,
             )
             for a in self.ds.attrs
         }
-        usage = Usage()
-        for u in [*charged.values(), llm.usage]:
-            usage.merge(u)
 
+    def _build_detector(self, c, read):
+        feats = read("features")
         # the pool goes by keyword: perfbench/spans.py counts it from kwargs["training"]
-        mask, detector = train_predict_all(
-            feats["ctx"], training=training, feat_mats=feats["mats"], seed=cfg.seed
+        return train_predict_all(
+            feats["ctx"], training=read("training"), feat_mats=feats["mats"], seed=c.seed
         )
+
+    # --------------------------------------------------------------- run
+    def run(self, cfg: ZeroEDConfig) -> ZeroEDResult:
+        """Run ``cfg``: the ``detector`` stage, charged the LLM usage of each stage it read once.
+
+        The mask and the detector record are the cached stage's own objects,
+        shared by every run of the same config; callers must not mutate them.
+        """
+        charged: dict = {}
+        mask, detector = self._stage("detector", cfg, charged)
+        feats, labels, training = (self._stage(s, cfg) for s in ("features", "labels", "training"))
+        usage = Usage()
+        for u in charged.values():
+            usage.merge(u)
         metrics = prf(mask, self.ds.error_mask)
         diagnostics = {
             "n_criteria": {a: len(c) for a, c in feats["ctx"].criteria.items()},

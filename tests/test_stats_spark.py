@@ -20,8 +20,17 @@ from repro.oracle import assert_equivalent
 ATTRS = ["city", "state", "measure_code", "score", "sample"]
 
 
+@pytest.fixture
+def oracle_partitions(spark):
+    """The conftest's default shuffle width (64), which session fixtures lower to 8."""
+    previous = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "64")
+    yield
+    spark.conf.set("spark.sql.shuffle.partitions", previous)
+
+
 @pytest.mark.parametrize("attr", ATTRS)
-def test_value_counts_match_duckdb(spark, hospital_tiny, hospital_sdf, attr):
+def test_value_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf, attr):
     spark_counts = (
         pair_counts_sdf(hospital_sdf, hospital_tiny.attrs)
         .where((F.col("a1") == attr) & (F.col("a2") == attr))
@@ -35,7 +44,7 @@ def test_value_counts_match_duckdb(spark, hospital_tiny, hospital_sdf, attr):
 
 
 @pytest.mark.parametrize("pair", [("city", "state"), ("condition", "measure_code")])
-def test_joint_counts_match_duckdb(spark, hospital_tiny, hospital_sdf, pair):
+def test_joint_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf, pair):
     a1, a2 = sorted(pair, key=hospital_tiny.attrs.index)
     spark_counts = (
         pair_counts_sdf(hospital_sdf, hospital_tiny.attrs)

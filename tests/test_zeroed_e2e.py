@@ -4,6 +4,7 @@ import inspect
 
 import pytest
 
+import repro.core.zeroed as zeroed
 from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import load_dataset
 from repro.training.classifier import train_predict_attribute
@@ -34,11 +35,27 @@ def test_diagnostics_populated(hospital_result, hospital_tiny):
     assert sum(d["n_labeled"].values()) > 0
 
 
-def test_rerun_uses_stage_cache_and_is_stable(hospital_runner, hospital_result):
+def test_rerun_uses_stage_cache_and_is_stable(hospital_runner, hospital_result, monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(zeroed, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("construct_training_data", "train_predict_all"):
+        monkeypatch.setattr(zeroed, name, counted(name))
     res2 = hospital_runner.run(ZeroEDConfig(label_rate=0.1))
+    assert calls == []
+    assert res2.mask.equals(hospital_result.mask)
     assert res2.metrics == hospital_result.metrics
     # cached stages re-charge the same usage for a faithful cost report
     assert res2.usage.total_tokens == hospital_result.usage.total_tokens
+    assert res2.usage.by_purpose == hospital_result.usage.by_purpose
 
 
 def test_ablation_configs_flags():
@@ -108,6 +125,11 @@ WARM_CASES = [
 
 def test_warm_cases_cover_every_config_field():
     assert sorted(f for f, _ in WARM_CASES) == sorted(f.name for f in dataclasses.fields(ZeroEDConfig))
+
+
+def test_every_config_field_is_declared_by_a_stage():
+    declared = {f for fields, _upstream in STAGES.values() for f in fields}
+    assert {f.name for f in dataclasses.fields(ZeroEDConfig)} <= declared
 
 
 @pytest.mark.parametrize("field, value", WARM_CASES)
