@@ -21,25 +21,19 @@ precision) and misses consistency errors entirely.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.datasets.base import Dataset
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import l2_pattern
-from repro.features.stats import DatasetStats, collect_stats
+from repro.features.stats import DatasetStats
 
 Z_CUT = 4.0
 # A value or pattern bin is rare at or below this share of the rows.
 RARE_SHARE = 0.01
 
 
-def detect(
-    spark: SparkSession,
-    ds: Dataset,
-    stats: DatasetStats | None = None,
-) -> pd.DataFrame:
+def detect(ds: Dataset, stats: DatasetStats) -> pd.DataFrame:
     """Boolean detection mask (rows × attrs)."""
-    stats = stats or collect_stats(ds.dirty_spark(spark), ds.attrs)
     n = stats.n
     mask = {}
     for a in ds.attrs:

@@ -11,12 +11,11 @@ by construction, so recall is inherently limited.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.datasets.base import Dataset
 
 
-def detect(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
+def detect(ds: Dataset) -> pd.DataFrame:
     mask = pd.DataFrame(False, index=ds.dirty.index, columns=ds.attrs)
     for (lhs_attr, rhs_attr), mapping in ds.kb.items():
         if lhs_attr not in ds.attrs or rhs_attr not in ds.attrs:

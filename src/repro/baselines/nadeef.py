@@ -5,9 +5,10 @@ in violations. We feed it the published-style inputs the paper grants it
 (the dataset's functional dependencies and per-attribute regex patterns,
 from ``Dataset.fds`` / ``Dataset.patterns``) and detect:
 
-* FD violations via a Spark aggregation: for each FD lhs→rhs, every lhs
-  and rhs cell in an lhs-group holding more than one distinct rhs value
-  is flagged (NADEEF marks all cells participating in a violation — the
+* FD violations read off the dataset's joint counts: for each FD
+  lhs→rhs, every lhs and rhs cell in an lhs-group holding more than one
+  distinct rhs value (an impure group of ``dependency_mapping``) is
+  flagged (NADEEF marks all cells participating in a violation — the
   majority-correct cells among them are what caps its precision),
 * pattern violations: cells not matching their attribute's regex.
 """
@@ -16,24 +17,22 @@ from __future__ import annotations
 import re
 
 import pandas as pd
-from pyspark.sql import SparkSession, functions as F
 
 from repro.datasets.base import Dataset
+from repro.features.stats import DatasetStats
 
 
-def detect(spark: SparkSession, ds: Dataset) -> pd.DataFrame:
+def violating_groups(stats: DatasetStats, lhs: str, rhs: str) -> set[str]:
+    """The lhs values whose rows hold more than one distinct rhs value."""
+    groups = stats.dependency_mapping(rhs, lhs)
+    return {v for v, (_majority, purity, _size) in groups.items() if purity < 1}
+
+
+def detect(ds: Dataset, stats: DatasetStats) -> pd.DataFrame:
     mask = pd.DataFrame(False, index=ds.dirty.index, columns=ds.attrs)
-    sdf = ds.dirty_spark(spark)
-    # --- FD violations (Spark groupBy: lhs groups with >1 distinct rhs)
+    # --- FD violations
     for lhs, rhs in ds.fds:
-        bad_groups = (
-            sdf.groupBy(lhs)
-            .agg(F.countDistinct(rhs).alias("nd"))
-            .where(F.col("nd") > 1)
-            .select(lhs)
-            .toPandas()[lhs]
-        )
-        bad = set(bad_groups)
+        bad = violating_groups(stats, lhs, rhs)
         if bad:
             in_bad = ds.dirty[lhs].isin(bad)
             mask.loc[in_bad, rhs] = True

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.datasets.base import Dataset
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_pattern
-from repro.features.stats import DatasetStats, collect_stats
+from repro.features.stats import DatasetStats
 from repro.sampling.cluster import agglomerative_clustering
 
 
@@ -44,14 +43,12 @@ def _strategy_vector(v: str, vc: dict, pc2: dict, pc3: dict, num: dict | None, n
 
 
 def detect(
-    spark: SparkSession,
     ds: Dataset,
-    stats: DatasetStats | None = None,
+    stats: DatasetStats,
     *,
     labeled_tuples: int = 2,
     seed: int = 0,
 ) -> pd.DataFrame:
-    stats = stats or collect_stats(ds.dirty_spark(spark), ds.attrs)
     n = len(ds.dirty)
     truth = ds.error_mask  # the user's tuple labels come from ground truth
     k = max(2, labeled_tuples + 2)

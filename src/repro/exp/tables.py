@@ -28,6 +28,9 @@ from repro.exp import paper_numbers as paper
 REPRO_N = 300
 TABLE5_N = 250
 TOKEN_SIZES = (500, 1000, 2000)
+# Shuffle width of the harnesses' Spark sessions: the tables are a few
+# thousand rows at most, so the default 200 partitions are mostly empty.
+SHUFFLE_PARTITIONS = "8"
 
 # Scale substitution: the paper labels 5 % of 1 000–7 390 tuples, i.e.
 # ~50–370 representatives per attribute. At repro scale (300 tuples) the
@@ -46,7 +49,7 @@ def get_spark(app: str) -> SparkSession:
     """A quiet SparkSession for the ``jobs/`` entry points."""
     spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "8")
+        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
@@ -57,7 +60,7 @@ def get_spark(app: str) -> SparkSession:
 def _tune_spark(spark: SparkSession) -> None:
     """Small-data settings for the harnesses (restored values don't matter
     for correctness — only shuffle width)."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
 
 
 def _measured_vs_paper(m: dict, pp: tuple | None) -> dict:
@@ -110,15 +113,15 @@ BASELINES = ["dBoost", "Nadeef", "Katara", "ActiveClean", "Raha", "FM_ED"]
 
 def _run_baseline(method: str, spark, ds, stats, seed: int):
     if method == "dBoost":
-        return dboost.detect(spark, ds, stats)
+        return dboost.detect(ds, stats)
     if method == "Nadeef":
-        return nadeef.detect(spark, ds)
+        return nadeef.detect(ds, stats)
     if method == "Katara":
-        return katara.detect(spark, ds)
+        return katara.detect(ds)
     if method == "ActiveClean":
         return activeclean.detect(spark, ds, seed=seed)
     if method == "Raha":
-        return raha.detect(spark, ds, stats, seed=seed)
+        return raha.detect(ds, stats, seed=seed)
     if method == "FM_ED":
         mask, _usage = fm_ed.detect(spark, ds, seed=seed)
         return mask

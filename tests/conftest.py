@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.registry import load_dataset
+from repro.exp.tables import SHUFFLE_PARTITIONS
 
 TINY_N = 150
 
@@ -34,15 +35,23 @@ def hospital_sdf(spark, hospital_tiny):
 def hospital_stats(spark, hospital_sdf, hospital_tiny):
     from repro.features.stats import collect_stats
 
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
     return collect_stats(hospital_sdf, hospital_tiny.attrs)
+
+
+@pytest.fixture(scope="session")
+def flights_stats(spark, flights_tiny):
+    from repro.features.stats import collect_stats
+
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
+    return collect_stats(flights_tiny.dirty_spark(spark), flights_tiny.attrs)
 
 
 @pytest.fixture(scope="session")
 def hospital_runner(spark, hospital_tiny):
     from repro.core.zeroed import ZeroEDRunner
 
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
     return ZeroEDRunner(spark, hospital_tiny)
 
 

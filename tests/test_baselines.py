@@ -15,15 +15,15 @@ def _shape_ok(mask, ds):
 # ------------------------------------------------------------------- dBoost
 
 
-def test_dboost_shape_and_determinism(spark, hospital_tiny, hospital_stats):
-    m1 = dboost.detect(spark, hospital_tiny, hospital_stats)
-    m2 = dboost.detect(spark, hospital_tiny, hospital_stats)
+def test_dboost_shape_and_determinism(hospital_tiny, hospital_stats):
+    m1 = dboost.detect(hospital_tiny, hospital_stats)
+    m2 = dboost.detect(hospital_tiny, hospital_stats)
     _shape_ok(m1, hospital_tiny)
     assert m1.equals(m2)
 
 
-def test_dboost_flags_numeric_outliers(spark, hospital_tiny, hospital_stats):
-    mask = dboost.detect(spark, hospital_tiny, hospital_stats)
+def test_dboost_flags_numeric_outliers(hospital_tiny, hospital_stats):
+    mask = dboost.detect(hospital_tiny, hospital_stats)
     types = hospital_tiny.error_types
     o_cells = [
         (i, "sample") for i in range(len(types))
@@ -34,15 +34,15 @@ def test_dboost_flags_numeric_outliers(spark, hospital_tiny, hospital_stats):
         assert hits / len(o_cells) > 0.7
 
 
-def test_dboost_ignores_missing(spark, flights_tiny):
+def test_dboost_ignores_missing(flights_tiny, flights_stats):
     # Table I: dBoost does not process missing-value errors
-    mask = dboost.detect(spark, flights_tiny)
+    mask = dboost.detect(flights_tiny, flights_stats)
     mv = flights_tiny.error_types.to_numpy() == "MV"
     assert mask.to_numpy()[mv].mean() == 0.0
 
 
-def test_dboost_cannot_see_rule_violations(spark, hospital_tiny, hospital_stats):
-    mask = dboost.detect(spark, hospital_tiny, hospital_stats)
+def test_dboost_cannot_see_rule_violations(hospital_tiny, hospital_stats):
+    mask = dboost.detect(hospital_tiny, hospital_stats)
     rv = hospital_tiny.error_types.to_numpy() == "RV"
     if rv.sum() >= 5:
         # RV cells look statistically normal — dBoost recall on them is low
@@ -52,8 +52,8 @@ def test_dboost_cannot_see_rule_violations(spark, hospital_tiny, hospital_stats)
 # ------------------------------------------------------------------- NADEEF
 
 
-def test_nadeef_flags_pattern_violations(spark, hospital_tiny):
-    mask = nadeef.detect(spark, hospital_tiny)
+def test_nadeef_flags_pattern_violations(hospital_tiny, hospital_stats):
+    mask = nadeef.detect(hospital_tiny, hospital_stats)
     _shape_ok(mask, hospital_tiny)
     types = hospital_tiny.error_types
     ruled = set(hospital_tiny.nadeef_attrs or hospital_tiny.patterns)
@@ -66,8 +66,8 @@ def test_nadeef_flags_pattern_violations(spark, hospital_tiny):
         assert hits / len(pv) > 0.6
 
 
-def test_nadeef_fd_violation_flags_group(spark, hospital_tiny):
-    mask = nadeef.detect(spark, hospital_tiny)
+def test_nadeef_fd_violation_flags_group(hospital_tiny, hospital_stats):
+    mask = nadeef.detect(hospital_tiny, hospital_stats)
     types = hospital_tiny.error_types.to_numpy()
     rv = types == "RV"
     if rv.sum() >= 3:
@@ -77,23 +77,23 @@ def test_nadeef_fd_violation_flags_group(spark, hospital_tiny):
 
 
 def test_nadeef_clean_dataset_mostly_unflagged(spark, hospital_tiny):
-    import pandas as pd
-
     from repro.datasets.base import Dataset
+    from repro.features.stats import collect_stats
 
     clean_ds = Dataset(
         name="clean", dirty=hospital_tiny.clean.copy(), clean=hospital_tiny.clean.copy(),
         fds=hospital_tiny.fds, patterns=hospital_tiny.patterns,
     )
-    mask = nadeef.detect(spark, clean_ds)
+    clean_stats = collect_stats(clean_ds.dirty_spark(spark), clean_ds.attrs)
+    mask = nadeef.detect(clean_ds, clean_stats)
     assert mask.to_numpy().mean() < 0.02
 
 
 # ------------------------------------------------------------------- KATARA
 
 
-def test_katara_flags_kb_contradictions(spark, hospital_tiny):
-    mask = katara.detect(spark, hospital_tiny)
+def test_katara_flags_kb_contradictions(hospital_tiny):
+    mask = katara.detect(hospital_tiny)
     _shape_ok(mask, hospital_tiny)
     # every flagged cell genuinely contradicts the KB
     for (lhs, rhs), mapping in hospital_tiny.kb.items():
@@ -104,8 +104,8 @@ def test_katara_flags_kb_contradictions(spark, hospital_tiny):
             assert hospital_tiny.dirty[rhs].iloc[i] != mapping[lv]
 
 
-def test_katara_zero_without_kb(spark, flights_tiny):
-    mask = katara.detect(spark, flights_tiny)
+def test_katara_zero_without_kb(flights_tiny):
+    mask = katara.detect(flights_tiny)
     assert not mask.to_numpy().any()
 
 
@@ -130,22 +130,22 @@ def test_activeclean_high_recall_low_precision_on_dirty_data(spark, flights_tiny
 # --------------------------------------------------------------------- Raha
 
 
-def test_raha_shape_and_determinism(spark, flights_tiny, hospital_stats):
-    m1 = raha.detect(spark, flights_tiny, seed=0)
-    m2 = raha.detect(spark, flights_tiny, seed=0)
+def test_raha_shape_and_determinism(flights_tiny, flights_stats):
+    m1 = raha.detect(flights_tiny, flights_stats, seed=0)
+    m2 = raha.detect(flights_tiny, flights_stats, seed=0)
     _shape_ok(m1, flights_tiny)
     assert m1.equals(m2)
 
 
-def test_raha_low_budget_limits_recall(spark, hospital_tiny, hospital_stats):
-    mask = raha.detect(spark, hospital_tiny, hospital_stats, labeled_tuples=2, seed=0)
+def test_raha_low_budget_limits_recall(hospital_tiny, hospital_stats):
+    mask = raha.detect(hospital_tiny, hospital_stats, labeled_tuples=2, seed=0)
     m = prf(mask, hospital_tiny.error_mask)
     assert m["rec"] < 0.7  # 2 labeled tuples cannot cover all error patterns
 
 
-def test_raha_more_labels_helps(spark, flights_tiny):
-    low = prf(raha.detect(spark, flights_tiny, labeled_tuples=2, seed=0), flights_tiny.error_mask)
-    high = prf(raha.detect(spark, flights_tiny, labeled_tuples=20, seed=0), flights_tiny.error_mask)
+def test_raha_more_labels_helps(flights_tiny, flights_stats):
+    low = prf(raha.detect(flights_tiny, flights_stats, labeled_tuples=2, seed=0), flights_tiny.error_mask)
+    high = prf(raha.detect(flights_tiny, flights_stats, labeled_tuples=20, seed=0), flights_tiny.error_mask)
     assert high["f1"] >= low["f1"] - 0.05
 
 

@@ -5,9 +5,11 @@ is verified by running the equivalent SQL in DuckDB over the same input
 via ``repro.oracle.assert_equivalent`` — a wrong shuffle/groupBy would be
 caught here, not just "it ran".
 """
+import duckdb
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.nadeef import violating_groups
 from repro.features.criteria import is_missing
 from repro.features.stats import (
     collect_stats,
@@ -57,6 +59,24 @@ def test_joint_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hosp
         f'FROM t GROUP BY "{a1}", "{a2}"',
         t=hospital_tiny.dirty,
     )
+
+
+@pytest.mark.parametrize("dataset", ["hospital_tiny", "flights_tiny"])
+def test_fd_violating_groups_match_duckdb(spark, oracle_partitions, request, dataset):
+    """The lhs groups NADEEF flags, read off the joint counts, are the ones
+    an lhs ``GROUP BY`` with more than one distinct rhs finds."""
+    ds = request.getfixturevalue(dataset)
+    stats = collect_stats(ds.dirty_spark(spark), ds.attrs)
+    con = duckdb.connect()
+    try:
+        con.register("t", ds.dirty)
+        for lhs, rhs in ds.fds:
+            expected = con.execute(
+                f'SELECT "{lhs}" FROM t GROUP BY "{lhs}" HAVING count(DISTINCT "{rhs}") > 1'
+            ).fetchall()
+            assert violating_groups(stats, lhs, rhs) == {v for (v,) in expected}, (lhs, rhs)
+    finally:
+        con.close()
 
 
 def test_stats_n(hospital_stats, hospital_tiny):

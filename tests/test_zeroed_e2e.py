@@ -7,6 +7,7 @@ import pytest
 import repro.core.zeroed as zeroed
 from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import load_dataset
+from repro.exp.tables import SHUFFLE_PARTITIONS
 from repro.training.classifier import train_predict_attribute
 
 
@@ -216,7 +217,7 @@ def test_degenerate_attributes_run_every_config(spark):
     """Every Table IV config and AGC sampling complete on one runner. The
     degenerate attributes' flags are not asserted: the detector can flag a
     constant attribute's cells through its related blocks."""
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
     ds = _degenerate_hospital(80)
     runner = ZeroEDRunner(spark, ds)
     base = ZeroEDConfig(label_rate=0.1)
@@ -229,7 +230,7 @@ def test_degenerate_attributes_run_every_config(spark):
 
 
 def test_three_row_table_runs(spark):
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
     ds = _degenerate_hospital(80)
     ds = dataclasses.replace(ds, dirty=ds.dirty.head(3), clean=ds.clean.head(3))
     res = ZeroEDRunner(spark, ds).run(ZeroEDConfig(label_rate=0.1))
