@@ -58,7 +58,7 @@ def detect(
             LogisticRegression(maxIter=30),
         ]
     )
-    if train.select("label").distinct().count() < 2:
+    if tuple_dirty.iloc[lab_idx].nunique() < 2:
         # degenerate budget: everything follows the single observed label
         only = bool(tuple_dirty.iloc[lab_idx].iloc[0])
         flags = np.full(n, only)

@@ -52,11 +52,14 @@ RELATED_WEIGHT = 0.4
 
 
 def _loo(count: int) -> int:
+    """Leave-one-out count: every frequency lookup is ``count - 1``. An
+    observed cell contributes to every count it is looked up in, so without
+    the correction a unique real value scores 1 occurrence while an
+    identical synthetic training value scores 0 — a train/test skew the
+    detector would exploit. LOO makes "no OTHER cell shares this
+    value/pattern/pair" read as 0 for both.
+    """
     return max(count - 1, 0)
-
-
-def _bit(c: Criterion, value: str, row: dict | None) -> float:
-    return 1.0 if c.evaluate(value, row) else 0.0
 
 
 @dataclass
@@ -96,24 +99,6 @@ class FeatureContext:
         denom = _loo(self.value_counts[q].get(vq, 0))
         joint = self.vicinity.get((attr, q), {})
         return _loo(joint.get((value, vq), 0)) / denom if denom else 0.0
-
-    def base_features(self, attr: str, value: str, row: dict) -> np.ndarray:
-        """Base feature vector for one cell, slot by slot in layout order: the
-        per-cell reference that :func:`featurize_pdf` reproduces.
-
-        All frequency lookups are leave-one-out (``count - 1``): an
-        observed cell contributes to every count it is looked up in, so
-        without the correction a unique real value scores 1 occurrence
-        while an identical synthetic training value scores 0 — a
-        train/test skew the detector would exploit. LOO makes "no OTHER
-        cell shares this value/pattern/pair" read as 0 for both.
-        """
-        out = self._frequency_slots(attr, value)
-        for q in self.related.get(attr, []):
-            out.append(self._vicinity_slot(attr, q, value, row.get(q, "")))
-        out.extend(embed_value(value, EMB_DIM))
-        out.extend(_bit(c, value, row) for c in self.criteria.get(attr, []))
-        return np.asarray(out, dtype=np.float64)
 
     def value_slots(self, attr: str, value: str) -> list[float]:
         """The base slots that read only the value: frequencies and patterns,
@@ -184,17 +169,25 @@ def featurize_pdf(
     related attributes' embeddings say little about *this* cell's
     correctness, and at equal weight (with 2 related attributes they are
     2/3 of the dimensions) they wash out cluster purity and with it label
-    propagation. ``attrs`` defaults to every attribute of ``ctx``.
+    propagation. ``attrs`` defaults to every attribute of ``ctx``. Each
+    matrix is allocated once and its blocks are written into it, the
+    related ones scaled in place.
     """
     attrs = ctx.attrs if attrs is None else attrs
     blocks = {
         x: _base_block(ctx, pdf, x)
         for x in dict.fromkeys(b for a in attrs for b in [a, *ctx.related.get(a, [])])
     }
-    return {
-        a: np.hstack([blocks[a], *(RELATED_WEIGHT * blocks[q] for q in ctx.related.get(a, []))])
-        for a in attrs
-    }
+    mats = {}
+    for a in attrs:
+        X = np.empty((len(pdf), ctx.full_dim(a)))
+        end = blocks[a].shape[1]
+        X[:, :end] = blocks[a]
+        for q in ctx.related.get(a, []):
+            start, end = end, end + blocks[q].shape[1]
+            np.multiply(blocks[q], RELATED_WEIGHT, out=X[:, start:end])
+        mats[a] = X
+    return mats
 
 
 def features_sdf(sdf: DataFrame, ctx: FeatureContext) -> DataFrame:

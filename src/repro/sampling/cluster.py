@@ -19,7 +19,13 @@ attribute's matrix; a few thousand rows cluster in milliseconds, so no
 Spark job is issued. k-means does its distance arithmetic once per
 distinct feature row (a matrix repeats rows, since a feature row is a
 function of a few cell values) and makes the assignments and picks the
-representatives the per-row computation makes.
+representatives the per-row computation makes. Its distance arithmetic
+runs in place: the seeding updates reuse one distinct-rows × dims buffer,
+and a Lloyd step sums the dot-product expansion into its one
+distinct-rows × k result. That result is not computed in row or column
+blocks, which would bound its memory: BLAS blocks a smaller product
+differently, and the last bits of the distances, and through near-ties
+the assignments, would change.
 """
 from __future__ import annotations
 
@@ -45,9 +51,19 @@ class AttrClustering:
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, rows of ``X`` × rows of ``C``."""
-    d = (X**2).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :]
-    return np.maximum(d, 0.0)
+    """Squared Euclidean distances, rows of ``X`` × rows of ``C``, by the
+    dot-product expansion ``‖x‖² - 2 x·c + ‖c‖²`` clipped at 0.
+
+    The expansion is summed in place in the one ``(len(X), len(C))`` result:
+    negating ``2 x·c`` and adding ``‖x‖²`` to it is the same IEEE operation
+    as subtracting it from ``‖x‖²``, so the bits are those of the expression
+    form.
+    """
+    d = X @ C.T
+    d *= -2.0
+    d += (X**2).sum(axis=1)[:, None]
+    d += (C**2).sum(axis=1)[None, :]
+    return np.maximum(d, 0.0, out=d)
 
 
 def _member_means(X: np.ndarray, assign: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -89,12 +105,13 @@ def kmeans_clustering(X: np.ndarray, k: int, seed: int) -> AttrClustering:
     # seeding distances are taken directly, not by the dot-product expansion,
     # so that only rows equal to a chosen seed read exactly 0
     seeds = [X[g.integers(n)]]
-    d2 = ((U - seeds[0]) ** 2).sum(axis=1)
+    diff = np.empty_like(U)
+    d2 = np.square(np.subtract(U, seeds[0], out=diff), out=diff).sum(axis=1)
     for _ in range(1, k):
         p = d2[codes]
         c = X[g.choice(n, p=p / p.sum())]
         seeds.append(c)
-        d2 = np.minimum(d2, ((U - c) ** 2).sum(axis=1))
+        np.minimum(d2, np.square(np.subtract(U, c, out=diff), out=diff).sum(axis=1), out=d2)
     C = np.vstack(seeds)
     assign = None
     for _ in range(KMEANS_MAX_ITER):

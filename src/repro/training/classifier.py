@@ -16,7 +16,11 @@ matrix the same feature rows (:func:`~repro.features.assemble.distinct_rows`).
 The fit runs on the distinct pairs, each pair's cross-entropy weighted by
 its share of the pool, which is the same mean loss over the pool's rows;
 prediction runs once per distinct row of the attribute's matrix and is
-gathered back to rows.
+gathered back to rows. The matrix is factorized once, and its codes serve
+both. The pool is never copied out: its real rows are positions in the
+matrix, so :func:`training_pairs` finds the distinct pairs from those
+rows' codes, with the synthetic rows merged into the same codes by their
+bytes, and copies only the distinct pairs' rows.
 """
 from __future__ import annotations
 
@@ -63,18 +67,44 @@ def _cross_entropy(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, 
     return float(-(w @ log_p[rows, y])), grad * w[:, None]
 
 
-def fit_mlp(
-    X: np.ndarray, y: np.ndarray, *, hidden: int, steps: int, seed: int
-) -> tuple[MLP, float]:
-    """Fit with ``steps`` full-batch Adam steps; return the net and its final
-    mean loss over the rows of ``X``.
+def training_pairs(
+    X_full: np.ndarray,
+    codes: np.ndarray,
+    positions: list[int],
+    labels: list[int],
+    X_synth: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pool's distinct (row, label) pairs ``(X, y, w)``, without building
+    the pool.
 
-    The steps run on the distinct (row, label) pairs, each weighted by its
-    multiplicity over ``len(X)``.
+    The pool is the rows of ``X_full`` at ``positions`` with ``labels``,
+    then the rows of ``X_synth`` labelled 1; ``codes`` is ``X_full``'s
+    :func:`~repro.features.assemble.distinct_rows` factorization. The pairs
+    come in the pool's first-occurrence order and ``w`` is each pair's share
+    of the pool, as ``distinct_rows(np.column_stack([pool, pool_labels]))``
+    gives them: rows are equal when their bytes are.
     """
-    codes, first = distinct_rows(np.column_stack([X, y]))
-    w = np.bincount(codes) / len(codes)
-    X, y = X[first], y[first].astype(int)
+    positions = np.asarray(positions, dtype=np.intp)
+    y = np.concatenate([np.asarray(labels, dtype=np.int64), np.ones(len(X_synth), dtype=np.int64)])
+    # merge the synthetic rows into the code space of the pool's real rows
+    _, at, inv = np.unique(codes[positions], return_index=True, return_inverse=True)
+    merged, _ = distinct_rows(np.vstack([X_full[positions[at]], X_synth]))
+    row_codes = merged[np.concatenate([inv, len(at) + np.arange(len(X_synth))])]
+    pair_codes, first = distinct_rows(np.column_stack([row_codes, y]))
+    # first positions ascend, so the real rows' pairs precede the synthetic ones
+    n_real = np.searchsorted(first, len(positions))
+    X = np.vstack([X_full[positions[first[:n_real]]], X_synth[first[n_real:] - len(positions)]])
+    return X, y[first], np.bincount(pair_codes) / len(pair_codes)
+
+
+def fit_mlp(
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, *, hidden: int, steps: int, seed: int
+) -> tuple[MLP, float]:
+    """Fit with ``steps`` full-batch Adam steps on the distinct (row, label)
+    pairs ``X``, ``y``, each pair's cross-entropy weighted by its share
+    ``w`` of the pool (see :func:`training_pairs`); return the net and its
+    final mean loss over the pool.
+    """
     g = np.random.default_rng(seed)
     dim = X.shape[1]
     # PyTorch nn.Linear's default init, U(±1/sqrt(fan_in)) for weights and
@@ -121,23 +151,23 @@ def train_predict_attribute(
     mean training ``loss`` (``steps == 0`` and ``loss is None`` when the
     detector degenerates to a constant).
     """
-    X_parts = [X_full[td.real_positions]] if td.real_positions else []
-    y_parts = [np.array(td.real_labels, dtype=float)] if td.real_labels else []
-    if td.synth_rows:
-        X_parts.append(featurize_pdf(ctx, pd.DataFrame(td.synth_rows), [attr])[attr])
-        y_parts.append(np.ones(len(td.synth_rows)))
-    constant = {"steps": 0, "loss": None}
-    if not X_parts:
-        return np.zeros(X_full.shape[0], dtype=bool), constant
-    X_train = np.vstack(X_parts)
-    y_train = np.concatenate(y_parts)
-    classes = set(np.unique(y_train))
+    classes = set(td.real_labels) | ({1} if td.synth_rows else set())
     if len(classes) < 2:
-        only = bool(classes.pop())
-        return np.full(X_full.shape[0], only, dtype=bool), constant
+        only = bool(classes.pop()) if classes else False
+        return np.full(X_full.shape[0], only), {"steps": 0, "loss": None}
 
-    net, loss = fit_mlp(X_train, y_train, hidden=hidden, steps=max_iter, seed=seed)
+    X_synth = (
+        featurize_pdf(ctx, pd.DataFrame(td.synth_rows), [attr])[attr]
+        if td.synth_rows
+        else np.empty((0, X_full.shape[1]))
+    )
     codes, first = distinct_rows(X_full)
+    net, loss = fit_mlp(
+        *training_pairs(X_full, codes, td.real_positions, td.real_labels, X_synth),
+        hidden=hidden,
+        steps=max_iter,
+        seed=seed,
+    )
     return net.predict(X_full[first])[codes], {"steps": max_iter, "loss": loss}
 
 

@@ -14,16 +14,31 @@ from repro.features.assemble import (
 )
 from repro.features.correlation import top_related
 from repro.features.criteria import Criterion
-from repro.features.embedding import EMB_DIM
+from repro.features.embedding import EMB_DIM, embed_value
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, derive_criteria
 
 
+def _bit(c, value, row):
+    return 1.0 if c.evaluate(value, row) else 0.0
+
+
+def base_features(ctx, attr, value, row):
+    """Base feature vector for one cell, slot by slot in layout order: the
+    per-cell reference that featurize_pdf reproduces."""
+    out = ctx._frequency_slots(attr, value)
+    for q in ctx.related.get(attr, []):
+        out.append(ctx._vicinity_slot(attr, q, value, row.get(q, "")))
+    out.extend(embed_value(value, EMB_DIM))
+    out.extend(_bit(c, value, row) for c in ctx.criteria.get(attr, []))
+    return np.asarray(out, dtype=np.float64)
+
+
 def full_features_reference(ctx, attr, row):
     """Per-row reference for featurize_pdf: f_base(own) ⊕ weighted f_base(related)."""
-    parts = [ctx.base_features(attr, row.get(attr, ""), row)]
+    parts = [base_features(ctx, attr, row.get(attr, ""), row)]
     for q in ctx.related.get(attr, []):
-        parts.append(RELATED_WEIGHT * ctx.base_features(q, row.get(q, ""), row))
+        parts.append(RELATED_WEIGHT * base_features(ctx, q, row.get(q, ""), row))
     return np.concatenate(parts)
 
 
@@ -113,7 +128,7 @@ def test_loo_unique_value_scores_zero(ctx):
     """A value appearing once in the data must read frequency 0 (LOO)."""
     row = {a: "" for a in ctx.attrs}
     row["city"] = "value-that-does-not-exist"
-    f = ctx.base_features("city", row["city"], row)
+    f = base_features(ctx, "city", row["city"], row)
     assert f[0] == 0.0  # value frequency
 
 
@@ -123,14 +138,14 @@ def test_loo_synth_matches_real_for_shared_value(ctx, hospital_tiny):
     synth_row = dict(real_row)  # same values, not present in the table
     a = "city"
     np.testing.assert_allclose(
-        ctx.base_features(a, real_row[a], real_row),
-        ctx.base_features(a, synth_row[a], synth_row),
+        base_features(ctx, a, real_row[a], real_row),
+        base_features(ctx, a, synth_row[a], synth_row),
     )
 
 
 def test_criteria_bits_present(ctx):
     row = {a: "x" for a in ctx.attrs}
-    f = ctx.base_features("city", "", row)
+    f = base_features(ctx, "city", "", row)
     # last two slots are the criteria bits; empty value fails not_missing
     assert f[-2] == 0.0  # not_missing
     assert f[-1] == 1.0  # length abstains on missing (passes)
@@ -141,7 +156,7 @@ def test_vicinity_slot_reflects_cooccurrence(ctx, hospital_tiny):
     city = clean["city"].mode()[0]
     row = clean[clean["city"] == city].iloc[0].to_dict()
     q = ctx.related["state"]
-    f = ctx.base_features("state", row["state"], row)
+    f = base_features(ctx, "state", row["state"], row)
     # vicinity features live right after the 5 frequency slots
     vic = f[5: 5 + len(q)]
     assert (vic >= 0).all() and (vic <= 1).all()

@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from repro.features.assemble import build_context
+from repro.features.assemble import build_context, distinct_rows, featurize_pdf
 from repro.features.correlation import top_related
-from repro.features.assemble import featurize_pdf
-from repro.training.classifier import MLP, fit_mlp, train_predict_attribute
+from repro.training.classifier import MLP, fit_mlp, train_predict_attribute, training_pairs
 from repro.training.construct import AttrTrainingData
 
 
@@ -118,8 +117,9 @@ def test_distinct_pair_fit_matches_full_row_fit():
     X = base[idx]
     y = (X[:, 0] + X[:, 1] > 1).astype(float)
     y[:25] = 1 - y[:25]
+    pairs = training_pairs(X, distinct_rows(X)[0], range(len(X)), y, np.empty((0, X.shape[1])))
     for seed in (0, 1):
-        net, loss = fit_mlp(X, y, hidden=16, steps=60, seed=seed)
+        net, loss = fit_mlp(*pairs, hidden=16, steps=60, seed=seed)
         ref, ref_loss = reference_fit(X, y, hidden=16, steps=60, seed=seed)
         assert abs(loss - ref_loss) <= 1e-9 * ref_loss
         assert np.array_equal(net.predict(base), ref.predict(base))
@@ -139,3 +139,35 @@ def test_detector_matches_full_row_fit_on_hospital(ctx, hospital_tiny):
         )
         assert abs(fit["loss"] - ref_loss) <= 1e-9 * ref_loss, a
         assert np.array_equal(pred, ref.predict(X)), a
+
+
+def test_training_pairs_match_materialized_pool():
+    """Pairs built from row codes equal the distinct (row, label) pairs of the
+    materialized pool, in order and weight, with synthetic rows byte-equal to
+    real rows of either label and -0.0/0.0 twins among them."""
+    g = np.random.default_rng(7)
+    base = np.round(g.random((12, 5)), 1)
+    base[3, 2] = 0.0
+    X_full = base[g.integers(0, 12, 90)]
+    positions = g.permutation(90)[:60]
+    labels = g.integers(0, 2, 60)
+    dirty, clean = positions[np.flatnonzero(labels == 1)[0]], positions[np.flatnonzero(labels == 0)[0]]
+    zero = X_full[np.flatnonzero((X_full == base[3]).all(axis=1))[0]]
+    signed = zero.copy()
+    signed[2] = -0.0
+    X_synth = np.vstack(
+        [g.random((3, 5)), X_full[dirty], X_full[clean], signed, zero, signed, X_full[clean]]
+    )
+    pool = np.vstack([X_full[positions], X_synth])
+    y_pool = np.concatenate([labels, np.ones(len(X_synth))])
+    codes, first = distinct_rows(np.column_stack([pool, y_pool]))
+    ref = pool[first], y_pool[first].astype(int), np.bincount(codes) / len(codes)
+
+    X, y, w = training_pairs(X_full, distinct_rows(X_full)[0], positions, labels, X_synth)
+    assert np.array_equal(X.view(np.uint64), ref[0].view(np.uint64))
+    assert np.array_equal(y, ref[1])
+    assert np.array_equal(w, ref[2])
+    for seed in (0, 3):
+        assert fit_mlp(X, y, w, hidden=8, steps=20, seed=seed)[1] == (
+            fit_mlp(*ref, hidden=8, steps=20, seed=seed)[1]
+        )

@@ -14,7 +14,6 @@ import pytest
 from repro.features.correlation import top_related
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_shape
-from repro.features.stats import collect_stats
 from repro.labeling.guidelines import execute_analysis
 from repro.llm.knowledge import near_miss_typo
 from repro.llm.model import TIERS, SimulatedLLM
@@ -88,9 +87,7 @@ def _reference(attr: str, summary: dict):
 
 
 @pytest.fixture(scope="module")
-def tables(spark, hospital_tiny, hospital_stats, flights_tiny):
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    flights_stats = collect_stats(flights_tiny.dirty_spark(spark), flights_tiny.attrs)
+def tables(hospital_tiny, hospital_stats, flights_tiny, flights_stats):
     return [(hospital_tiny, hospital_stats), (flights_tiny, flights_stats)]
 
 

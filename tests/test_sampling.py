@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.sampling.cluster import (
+    _sq_dists,
     agglomerative_clustering,
     cluster_attribute,
     kmeans_clustering,
@@ -223,3 +224,13 @@ def test_kmeans_matches_per_row_reference_when_degenerate():
     assert_matches_reference(_blobs(n=5), 50, 0)  # n < k
     assert_matches_reference(np.ones((20, 3)), 4, 0)  # all rows identical
     assert_matches_reference(np.vstack([_blobs(n=6)] * 5), 10, 3)  # k > distinct rows
+
+
+def test_sq_dists_in_place_matches_expression_form():
+    """The in-place expansion has the bits of the one-expression form."""
+    g = np.random.default_rng(8)
+    for n, d, k in [(40, 3, 5), (300, 57, 15), (500, 12, 64)]:
+        X = np.round(g.normal(size=(n // 4, d)), 3)[g.integers(0, n // 4, n)]
+        C = np.vstack([X[:k // 2], g.normal(size=(k - k // 2, d))])
+        ref = (X**2).sum(axis=1)[:, None] - 2.0 * (X @ C.T) + (C**2).sum(axis=1)[None, :]
+        assert np.array_equal(_sq_dists(X, C).view(np.uint64), np.maximum(ref, 0.0).view(np.uint64))
