@@ -1,6 +1,7 @@
-"""Fingerprint ZeroED's outputs, for a before/after equality check.
+"""Fingerprint ZeroED's and the baselines' outputs, for a before/after
+equality check.
 
-Prints one JSON record per (dataset, config):
+Prints one JSON record per (dataset, ZeroED config):
 
 * a hash of the detection mask;
 * the metrics;
@@ -18,14 +19,18 @@ Prints one JSON record per (dataset, config):
 
 The records cover the 7 datasets at ``REPRO_N`` tuples under the five
 Table IV configs plus AGC sampling, and Tax at n=2000 under the Fig. 8
-config (``label_rate=0.05``); data and configs use seed 3. Run it on two
-commits and compare the outputs:
+config (``label_rate=0.05``). Then one record per (Table III dataset,
+Table III baseline) at ``REPRO_N`` tuples holds a hash of the baseline's
+mask and its metrics, and FM_ED's also its token usage; the baselines run
+on the ZeroED runner's stats, as Table III runs them. Data and configs use
+seed 3. Run it on two commits and compare the outputs:
 
     PYTHONPATH=src python -m jobs.fingerprint > before.jsonl
     PYTHONPATH=src python -m jobs.fingerprint --compare before.jsonl after.jsonl
 
 ``--compare`` requires every field except the detector losses to be equal,
-and the losses to agree within 1e-9 relative. It prints each difference
+and the losses to agree within 1e-9 relative; a record without detector
+losses (a baseline's) compares as one with none. It prints each difference
 and exits non-zero if there is any.
 """
 import argparse
@@ -36,9 +41,11 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
+from repro.baselines import fm_ed
+from repro.core.metrics import prf
 from repro.core.zeroed import ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import TABLE3_DATASETS, load_dataset
-from repro.exp.tables import REPRO_N, get_spark, repro_config
+from repro.exp.tables import BASELINES, REPRO_N, _run_baseline, get_spark, repro_config
 
 SEED = 3
 FIG8_N = 2000
@@ -52,6 +59,10 @@ def _digest(parts) -> str:
     return h.hexdigest()[:16]
 
 
+def _mask_digest(mask) -> str:
+    return _digest([*mask.columns, mask.to_numpy(dtype=bool)])
+
+
 def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
     res = runner.run(cfg)
     # the cached stages the run read
@@ -63,7 +74,7 @@ def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
         "dataset": runner.ds.name,
         "n": len(runner.ds.dirty),
         "config": name,
-        "mask": _digest([*res.mask.columns, res.mask.to_numpy(dtype=bool)]),
+        "mask": _mask_digest(res.mask),
         "metrics": res.metrics,
         "usage": asdict(res.usage),
         "diagnostics": diagnostics,
@@ -91,13 +102,34 @@ def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
     return record
 
 
+def baseline_fingerprint(spark, runner: ZeroEDRunner, method: str) -> dict:
+    """One Table III baseline's record, run as ``table3_rows`` runs it."""
+    ds = runner.ds
+    if method == "FM_ED":
+        mask, usage = fm_ed.detect(spark, ds, seed=SEED)
+    else:
+        mask, usage = _run_baseline(method, spark, ds, runner.stats, SEED), None
+    record = {
+        "dataset": ds.name,
+        "n": len(ds.dirty),
+        "config": method,
+        "mask": _mask_digest(mask),
+        "metrics": prf(mask, ds.error_mask),
+    }
+    if usage is not None:
+        record["usage"] = asdict(usage)
+    return record
+
+
 def runs():
-    """(dataset, n, {config name: config}) for every fingerprinted run."""
+    """(dataset, n, {config name: config}, baselines) for every fingerprinted
+    dataset."""
     base = repro_config(SEED)
     configs = {**ablation_configs(base), "AGC": replace(base, sampling="agc")}
-    for name in [*TABLE3_DATASETS, "tax"]:
-        yield name, REPRO_N, configs
-    yield "tax", FIG8_N, {"Fig. 8": ZeroEDConfig(seed=SEED, label_rate=0.05)}
+    for name in TABLE3_DATASETS:
+        yield name, REPRO_N, configs, BASELINES
+    yield "tax", REPRO_N, configs, []
+    yield "tax", FIG8_N, {"Fig. 8": ZeroEDConfig(seed=SEED, label_rate=0.05)}, []
 
 
 def compare(before_path: str, after_path: str) -> int:
@@ -119,7 +151,7 @@ def compare(before_path: str, after_path: str) -> int:
             if field != "detector_loss" and b.get(field) != a.get(field):
                 print(f"{key} {field}: {b.get(field)} -> {a.get(field)}")
                 diffs += 1
-        lb, la = b["detector_loss"], a["detector_loss"]
+        lb, la = b.get("detector_loss", {}), a.get("detector_loss", {})
         for attr in sorted(lb.keys() | la.keys()):
             x, y = lb.get(attr), la.get(attr)
             if x is None or y is None:
@@ -146,10 +178,12 @@ def main() -> None:
     if args.compare:
         sys.exit(1 if compare(*args.compare) else 0)
     spark = get_spark("fingerprint")
-    for name, n, configs in runs():
+    for name, n, configs, baselines in runs():
         runner = ZeroEDRunner(spark, load_dataset(name, n=n, seed=SEED))
         for cfg_name, cfg in configs.items():
             print(json.dumps(fingerprint(runner, cfg_name, cfg)), flush=True)
+        for method in baselines:
+            print(json.dumps(baseline_fingerprint(spark, runner, method)), flush=True)
     spark.stop()
 
 

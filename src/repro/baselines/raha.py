@@ -8,9 +8,9 @@ labeled cell's label to its cluster, and trains a per-attribute
 classifier. We reproduce that pipeline with a
 representative strategy library (missing check, rare value, rare L2/L3
 pattern, robust numeric z-score, character-class regexes) and the
-paper's minimal-human-effort setting of 2 labeled tuples — which leaves
-most clusters unlabeled (default clean), reproducing Raha's low recall
-at that budget (paper Fig. 6 / Table III).
+paper's minimal-human-effort setting of :data:`LABELED_TUPLES` (2)
+labeled tuples — which leaves most clusters unlabeled (default clean),
+reproducing Raha's low recall at that budget (paper Fig. 6 / Table III).
 """
 from __future__ import annotations
 
@@ -22,6 +22,9 @@ from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_pattern
 from repro.features.stats import DatasetStats
 from repro.sampling.cluster import agglomerative_clustering
+
+# Tuples the user labels (the paper's minimal human effort).
+LABELED_TUPLES = 2
 
 
 def _strategy_vector(v: str, vc: dict, pc2: dict, pc3: dict, num: dict | None, n: int) -> list[float]:
@@ -42,16 +45,10 @@ def _strategy_vector(v: str, vc: dict, pc2: dict, pc3: dict, num: dict | None, n
     return out
 
 
-def detect(
-    ds: Dataset,
-    stats: DatasetStats,
-    *,
-    labeled_tuples: int = 2,
-    seed: int = 0,
-) -> pd.DataFrame:
+def detect(ds: Dataset, stats: DatasetStats, *, seed: int = 0) -> pd.DataFrame:
     n = len(ds.dirty)
     truth = ds.error_mask  # the user's tuple labels come from ground truth
-    k = max(2, labeled_tuples + 2)
+    k = max(2, LABELED_TUPLES + 2)
 
     # --- per-attribute strategy-output clustering
     assigns: dict[str, np.ndarray] = {}
@@ -72,7 +69,7 @@ def detect(
     lab_idx: list[int] = []
     g = np.random.default_rng(seed)
     order = g.permutation(n)  # deterministic tie-breaking
-    for _ in range(min(labeled_tuples, n)):
+    for _ in range(min(LABELED_TUPLES, n)):
         best, best_gain = None, -1
         for i in order:
             if i in lab_idx:

@@ -16,10 +16,14 @@ Ablation flags map to Table IV rows: ``use_guidelines`` (w/o Guid.,
 read by ``labels``), ``use_criteria`` (w/o Crit., read by ``features``),
 ``use_correlated`` (w/o Corr., read by ``related``) and
 ``use_verification`` (w/o Veri., read by ``training``). The settings the
-paper fixes and no experiment varies are constants: :data:`N_RELATED`,
-:data:`N_PROMPT_SAMPLES`, and the labeling batch size and detector shape
-defaults of :func:`~repro.labeling.labeler.label_representatives` and
-:func:`~repro.training.classifier.train_predict_attribute`.
+paper fixes and no experiment varies are constants, each in the module
+that reads it: :data:`N_RELATED` and :data:`N_PROMPT_SAMPLES` here, the
+labeling batch size :data:`~repro.labeling.labeler.BATCH_SIZE`, Algorithm
+1's budgets :data:`~repro.training.construct.MAX_SYNTH` and
+:data:`~repro.training.construct.VERIFY_SAMPLE`, and the detector's
+:data:`~repro.training.classifier.HIDDEN` width and
+:data:`~repro.training.classifier.STEPS`. :class:`ZeroEDConfig` holds
+every setting an experiment varies.
 """
 from __future__ import annotations
 

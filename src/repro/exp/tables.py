@@ -202,33 +202,27 @@ def table4_rows(
 def table5_rows(
     spark: SparkSession,
     datasets: list[str] = TABLE3_DATASETS,
-    models: list[str] | None = None,
     seed: int = 0,
 ) -> list[dict]:
     """ZeroED with different LLM tiers (paper Table V)."""
-    configs = {m: repro_config(seed, model=m) for m in models or paper.PAPER_TABLE5}
+    configs = {m: repro_config(seed, model=m) for m in paper.PAPER_TABLE5}
     return _sweep(spark, datasets, TABLE5_N, "model", configs, paper.PAPER_TABLE5, seed)
 
 
 def table6_rows(
     spark: SparkSession,
     datasets: tuple[str, ...] = ("flights", "billionaire", "movies"),
-    methods: tuple[str, ...] = ("random", "agc", "kmeans"),
     seed: int = 0,
 ) -> list[dict]:
     """Sampling-method comparison (paper Table VI)."""
-    configs = {m: repro_config(seed, sampling=m) for m in methods}
+    configs = {m: repro_config(seed, sampling=m) for m in paper.PAPER_TABLE6}
     return _sweep(spark, datasets, REPRO_N, "sampling", configs, paper.PAPER_TABLE6, seed)
 
 
 # ------------------------------------------------------- token cost (Fig. 8)
 
 
-def token_cost_rows(
-    spark: SparkSession,
-    sizes: tuple[int, ...] = TOKEN_SIZES,
-    seed: int = 0,
-) -> list[dict]:
+def token_cost_rows(spark: SparkSession, seed: int = 0) -> list[dict]:
     """ZeroED vs FM_ED token usage on growing Tax subsets (Fig. 8's claim:
     up to ~90 % token reduction at scale).
 
@@ -238,7 +232,7 @@ def token_cost_rows(
     """
     _tune_spark(spark)
     rows = []
-    for n in sizes:
+    for n in TOKEN_SIZES:
         ds = load_dataset("tax", n=n, seed=seed)
         res = ZeroEDRunner(spark, ds).run(ZeroEDConfig(seed=seed, label_rate=0.05))
         _mask, fm_usage = fm_ed.detect(spark, ds, seed=seed)

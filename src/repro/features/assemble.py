@@ -103,7 +103,7 @@ class FeatureContext:
     def value_slots(self, attr: str, value: str) -> list[float]:
         """The base slots that read only the value: frequencies and patterns,
         and the embedding."""
-        return [*self._frequency_slots(attr, value), *embed_value(value, EMB_DIM)]
+        return [*self._frequency_slots(attr, value), *embed_value(value)]
 
     def context_slots(self, attr: str, value: str, row: dict) -> list[float]:
         """The base slots that read the related attributes' values: vicinities."""
@@ -221,12 +221,12 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``X[first][codes]`` is ``X`` bit for bit.
 
     Rows are compared by their bytes, so ``-0.0`` and ``0.0`` make two
-    distinct rows: a value-equal merge could swap one for the other.
+    distinct rows: a value-equal merge could swap one for the other. Only
+    the distinct rows' bytes are held, one copy each.
     """
     X = np.ascontiguousarray(X)
-    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.ravel()], first[order]
+    row_bytes = X.view(np.uint8).reshape(len(X), X.dtype.itemsize * X.shape[1])
+    codes, _ = factorize(map(bytes, row_bytes), len(X))
+    # codes count up in first-occurrence order: a row is a first occurrence
+    # exactly where the running maximum of the codes steps up
+    return codes, np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))

@@ -57,7 +57,7 @@ class Criterion:
             return (self.attr, self.params["other"])
         return (self.attr,)
 
-    def evaluate(self, value: str, row: dict[str, str] | None = None) -> bool:
+    def evaluate(self, value: str, row: dict[str, str]) -> bool:
         """True iff ``value`` (in ``row`` context) passes this check."""
         k = self.kind
         if k == "not_missing":
@@ -79,12 +79,12 @@ class Criterion:
         if k == "length":
             return self.params["lo"] <= len(value) <= self.params["hi"]
         if k == "dependency":
-            other_val = (row or {}).get(self.params["other"], "")
+            other_val = row.get(self.params["other"], "")
             allowed = self.params["mapping"].get(other_val)
             return True if allowed is None else value in allowed
         raise ValueError(f"unknown criterion kind {k!r}")
 
-    def applicable(self, value: str, row: dict[str, str] | None = None) -> bool:
+    def applicable(self, value: str, row: dict[str, str]) -> bool:
         """False when this criterion abstains on the cell.
 
         A dependency check abstains when the determining value is outside
@@ -93,7 +93,7 @@ class Criterion:
         computes rates over *applicable* criteria only.
         """
         if self.kind == "dependency":
-            return (row or {}).get(self.params["other"], "") in self.params["mapping"]
+            return row.get(self.params["other"], "") in self.params["mapping"]
         return True
 
     def render(self) -> str:

@@ -21,24 +21,25 @@ EMB_DIM = 12
 
 
 @lru_cache(maxsize=200_000)
-def _ngram_vec(ngram: str, dim: int) -> tuple[float, ...]:
+def _ngram_vec(ngram: str) -> tuple[float, ...]:
     g = np.random.default_rng(zlib.crc32(ngram.encode("utf-8")))
-    return tuple(g.standard_normal(dim))
+    return tuple(g.standard_normal(EMB_DIM))
 
 
-def _token_vec(token: str, dim: int) -> np.ndarray:
+def _token_vec(token: str) -> np.ndarray:
     padded = f"<{token}>"
     grams = [padded[i: i + 3] for i in range(len(padded) - 2)] or [padded]
-    return np.mean([_ngram_vec(gm, dim) for gm in grams], axis=0)
+    return np.mean([_ngram_vec(gm) for gm in grams], axis=0)
 
 
 @lru_cache(maxsize=100_000)
-def embed_value(value: str, dim: int = EMB_DIM) -> tuple[float, ...]:
-    """Embed one cell value: tokenize, average token vectors, L2-normalize."""
+def embed_value(value: str) -> tuple[float, ...]:
+    """Embed one cell value: tokenize, average token vectors, L2-normalize.
+    The embedding has :data:`EMB_DIM` slots."""
     tokens = [t for t in "".join(c if c.isalnum() else " " for c in value.lower()).split() if t]
     if not tokens:
-        return tuple(np.zeros(dim))
-    vec = np.mean([_token_vec(t, dim) for t in tokens], axis=0)
+        return tuple(np.zeros(EMB_DIM))
+    vec = np.mean([_token_vec(t) for t in tokens], axis=0)
     norm = float(np.linalg.norm(vec))
     if norm > 0:
         vec = vec / norm

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.datasets.base import ROW_ID
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import PATTERN_LEVELS
 
@@ -150,9 +149,9 @@ class DatasetStats:
         return out
 
 
-def collect_stats(sdf: DataFrame, attrs: list[str] | None = None) -> DatasetStats:
-    """Run the Spark aggregation pass and collect into a :class:`DatasetStats`."""
-    attrs = attrs or [c for c in sdf.columns if c != ROW_ID]
+def collect_stats(sdf: DataFrame, attrs: list[str]) -> DatasetStats:
+    """Run the Spark aggregation pass over ``attrs`` and collect into a
+    :class:`DatasetStats`."""
     value_counts: dict[str, dict[str, int]] = {a: {} for a in attrs}
     joint: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
     # the grouping keys are unique, so sorting whole rows orders them by

@@ -1,6 +1,6 @@
 """Context-aware LLM labeling of representative samples (paper §III-C).
 
-Representatives are labeled per attribute in batches of ``batch_size``
+Representatives are labeled per attribute in batches of :data:`BATCH_SIZE`
 (paper: 20) tuples. Each batch prompt carries the attribute's guideline
 plus, for every value, the values of its correlated attributes — the
 context that lets the (simulated) LLM judge rule violations. Without a
@@ -15,6 +15,9 @@ import pandas as pd
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import labeling_prompt
 from repro.llm.reasoning import Guideline, guideline_judgment, tuple_local_judgment
+
+# Tuples per labeling prompt (paper §IV-A).
+BATCH_SIZE = 20
 
 
 def _noisy(llm: SimulatedLLM, attr: str, row_idx: int, label: int) -> int:
@@ -33,14 +36,13 @@ def label_representatives(
     rep_positions: list[int],
     guideline: Guideline | None,
     related: list[str],
-    batch_size: int = 20,
 ) -> dict[int, int]:
     """Label the representative cells of ``attr``; returns {row_pos: 0/1}."""
     labels: dict[int, int] = {}
-    cols = [attr] + [c for c in related if c in dirty.columns]
+    cols = [attr, *related]
     gtext = guideline.text if guideline is not None else "(no guideline)"
-    for start in range(0, len(rep_positions), batch_size):
-        batch = rep_positions[start: start + batch_size]
+    for start in range(0, len(rep_positions), BATCH_SIZE):
+        batch = rep_positions[start: start + BATCH_SIZE]
         rows = dirty.iloc[batch][cols].to_dict("records")
         prompt = labeling_prompt(attr, gtext, rows)
 

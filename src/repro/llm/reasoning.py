@@ -43,6 +43,12 @@ _GARBAGE_RUN = re.compile(r"[qxjvkwz]{3,}")
 _DIGIT_IN_WORD = re.compile(r"[a-zA-Z]\d+[a-zA-Z]")
 _TOKEN_SEP = re.compile(r"[^0-9a-zA-Z]+")
 
+# An attribute is numeric when at least this share of its values parse as
+# numbers, and structured when its most common L2 pattern has at least
+# this share of its values.
+NUMERIC_SHARE = 0.7
+STRUCTURED_L2_SHARE = 0.3
+
 
 # --------------------------------------------------------------- criteria
 
@@ -62,13 +68,14 @@ def _robust_range(floats: list[float], sigma: float) -> tuple[float, float]:
 def _pattern_criterion(attr: str, vals: list[str], note: str) -> Criterion:
     """Exact-L2 patterns for structured attributes, L3 shapes for free text.
 
-    Structured means a dominant L2 pattern (>= 30 % of values); free-text
-    attributes would make every run-length pattern near-unique, so only
-    the class-sequence shape is constrained there.
+    Structured means a dominant L2 pattern (see
+    :data:`STRUCTURED_L2_SHARE`); free-text attributes would make every
+    run-length pattern near-unique, so only the class-sequence shape is
+    constrained there.
     """
     l2s = [l2_pattern(v) for v in vals]
     top_share = max(Counter(l2s).values()) / len(l2s)
-    if top_share >= 0.3:
+    if top_share >= STRUCTURED_L2_SHARE:
         return Criterion(attr, "pattern", f"{attr} format must match known patterns{note}",
                          {"level": "l2", "patterns": set(l2s)})
     return Criterion(attr, "pattern", f"{attr} character shape must be known{note}",
@@ -101,8 +108,7 @@ def _dependency_criterion(
         keep = {v for v, c in dist.items() if c >= min_support}
         if keep:
             mapping[ov] = keep
-    groups = [g for g in mapping.values() if g]
-    if len(mapping) >= 2 and groups and np.mean([len(g) for g in groups]) <= max_branching:
+    if len(mapping) >= 2 and np.mean([len(g) for g in mapping.values()]) <= max_branching:
         return Criterion(attr, "dependency", f"{attr} must be consistent with {other}{note}",
                          {"other": other, "mapping": mapping})
     return None
@@ -130,7 +136,7 @@ def derive_criteria(
         return crits
     crits.append(_pattern_criterion(attr, vals, ""))
     floats = [x for v in vals if (x := try_float(v)) is not None]
-    if len(floats) >= 0.7 * len(vals):
+    if len(floats) >= NUMERIC_SHARE * len(vals):
         lo, hi = _robust_range(floats, tier.sigma)
         crits.append(
             Criterion(attr, "range", f"{attr} must be within a plausible range",
@@ -268,7 +274,7 @@ def build_guideline(
         checks: list[Criterion] = []
         notes: list[str] = []
         num = summary.get("numeric")
-        numeric = bool(num) and num["frac"] >= 0.7
+        numeric = bool(num) and num["frac"] >= NUMERIC_SHARE
         if numeric:
             sd = num["robust_sd"]
             lo, hi = num["median"] - 5.0 * sd, num["median"] + 5.0 * sd
@@ -279,7 +285,7 @@ def build_guideline(
             common = {s for s, c in sc.items() if c / max(1, n) >= RARE_SHAPE_SHARE}
             checks.append(Criterion(attr, "pattern", f"{attr} character shape must not be rare",
                                     {"level": "shape3", "patterns": common}))
-        if pc and n and max(pc.values()) / n >= 0.3:
+        if pc and n and max(pc.values()) / n >= STRUCTURED_L2_SHARE:
             common = {p for p, c in pc.items() if c > rare_pattern_cut}
             checks.append(Criterion(attr, "pattern", f"{attr} format must not be rare",
                                     {"level": "l2", "patterns": common}))
@@ -374,7 +380,7 @@ def refine_criteria(
             return crits
         crits.append(_pattern_criterion(attr, vals, " (refined)"))
         floats = [x for v in vals if (x := try_float(v)) is not None]
-        if len(floats) >= 0.7 * len(vals):
+        if len(floats) >= NUMERIC_SHARE * len(vals):
             lo, hi = _robust_range(floats, max(tier.sigma, 3.0))
             crits.append(
                 Criterion(attr, "range", f"{attr} refined range check",

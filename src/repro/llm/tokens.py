@@ -44,7 +44,8 @@ class Usage:
         bucket["completion"] += c
 
     def merge(self, other: "Usage") -> None:
-        """Fold another Usage into this one (e.g. per-attribute sub-runs)."""
+        """Fold another Usage into this one (e.g. one stage's usage record
+        into a run's)."""
         self.prompt_tokens += other.prompt_tokens
         self.completion_tokens += other.completion_tokens
         self.calls += other.calls

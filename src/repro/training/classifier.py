@@ -2,12 +2,13 @@
 
 The paper trains a simple two-layer MLP with cross-entropy loss per
 attribute over the constructed training data and applies it to every cell.
-Here each attribute's detector has layers ``[dim, hidden, 2]`` with a ReLU
-hidden layer and a softmax cross-entropy loss, trained with full-batch Adam
-from a seeded initialization on propagated real cells plus LLM-augmented
-synthetic cells. The feature matrices are already on the driver
-(:func:`repro.features.assemble.collect_feature_matrices`), and a pool of a
-few hundred rows fits in a handful of milliseconds, so no Spark job is
+Here each attribute's detector has layers ``[dim, HIDDEN, 2]`` with a ReLU
+hidden layer and a softmax cross-entropy loss, trained with ``STEPS``
+full-batch Adam steps from a seeded initialization on propagated real
+cells plus LLM-augmented synthetic cells. The feature matrices are
+already on the driver
+(:func:`repro.features.assemble.collect_feature_matrices`), and a pool of
+a few hundred rows fits in a handful of milliseconds, so no Spark job is
 issued. Attributes whose training pool is single-class degenerate to a
 constant predictor (nothing for an MLP to learn).
 
@@ -32,15 +33,18 @@ import pandas as pd
 from repro.features.assemble import FeatureContext, distinct_rows, featurize_pdf
 from repro.training.construct import AttrTrainingData
 
+# The detector's hidden width and its number of full-batch Adam steps.
+HIDDEN = 16
+STEPS = 60
 # Adam step size and moment decay rates (Kingma & Ba's defaults except the
-# step size, raised so that the configured few dozen full-batch steps fit).
+# step size, raised so that the few dozen full-batch steps fit).
 LEARNING_RATE = 0.05
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class MLP:
-    """A fitted ``[dim, hidden, 2]`` ReLU network."""
+    """A fitted ``[dim, HIDDEN, 2]`` ReLU network."""
 
     W1: np.ndarray
     b1: np.ndarray
@@ -97,11 +101,9 @@ def training_pairs(
     return X, y[first], np.bincount(pair_codes) / len(pair_codes)
 
 
-def fit_mlp(
-    X: np.ndarray, y: np.ndarray, w: np.ndarray, *, hidden: int, steps: int, seed: int
-) -> tuple[MLP, float]:
-    """Fit with ``steps`` full-batch Adam steps on the distinct (row, label)
-    pairs ``X``, ``y``, each pair's cross-entropy weighted by its share
+def fit_mlp(X: np.ndarray, y: np.ndarray, w: np.ndarray, *, seed: int) -> tuple[MLP, float]:
+    """Fit with :data:`STEPS` full-batch Adam steps on the distinct (row,
+    label) pairs ``X``, ``y``, each pair's cross-entropy weighted by its share
     ``w`` of the pool (see :func:`training_pairs`); return the net and its
     final mean loss over the pool.
     """
@@ -109,16 +111,16 @@ def fit_mlp(
     dim = X.shape[1]
     # PyTorch nn.Linear's default init, U(±1/sqrt(fan_in)) for weights and
     # biases: the paper's detector is a PyTorch MLP
-    b_in, b_hid = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(hidden)
+    b_in, b_hid = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(HIDDEN)
     params = [
-        g.uniform(-b_in, b_in, (dim, hidden)),
-        g.uniform(-b_in, b_in, hidden),
-        g.uniform(-b_hid, b_hid, (hidden, 2)),
+        g.uniform(-b_in, b_in, (dim, HIDDEN)),
+        g.uniform(-b_in, b_in, HIDDEN),
+        g.uniform(-b_hid, b_hid, (HIDDEN, 2)),
         g.uniform(-b_hid, b_hid, 2),
     ]
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    for t in range(1, steps + 1):
+    for t in range(1, STEPS + 1):
         W1, b1, W2, b2 = params
         pre = X @ W1 + b1
         h = np.maximum(pre, 0.0)
@@ -141,8 +143,6 @@ def train_predict_attribute(
     td: AttrTrainingData,
     X_full: np.ndarray,
     *,
-    hidden: int = 16,
-    max_iter: int = 60,
     seed: int = 0,
 ) -> tuple[np.ndarray, dict]:
     """Fit the attribute's MLP and predict an error flag for every row.
@@ -163,12 +163,9 @@ def train_predict_attribute(
     )
     codes, first = distinct_rows(X_full)
     net, loss = fit_mlp(
-        *training_pairs(X_full, codes, td.real_positions, td.real_labels, X_synth),
-        hidden=hidden,
-        steps=max_iter,
-        seed=seed,
+        *training_pairs(X_full, codes, td.real_positions, td.real_labels, X_synth), seed=seed
     )
-    return net.predict(X_full[first])[codes], {"steps": max_iter, "loss": loss}
+    return net.predict(X_full[first])[codes], {"steps": STEPS, "loss": loss}
 
 
 def train_predict_all(
@@ -178,9 +175,8 @@ def train_predict_all(
     *,
     seed: int = 0,
 ) -> tuple[pd.DataFrame, dict[str, dict]]:
-    """Detection mask (rows × attrs, bool) from per-attribute MLPs of the
-    default shape, and each attribute's convergence record (see
-    :func:`train_predict_attribute`)."""
+    """Detection mask (rows × attrs, bool) from per-attribute MLPs, and each
+    attribute's convergence record (see :func:`train_predict_attribute`)."""
     cols, fits = {}, {}
     for attr, td in training.items():
         cols[attr], fits[attr] = train_predict_attribute(ctx, attr, td, feat_mats[attr], seed=seed)

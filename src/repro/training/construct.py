@@ -30,6 +30,12 @@ from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, refine_criteria
 from repro.sampling.cluster import AttrClustering
 
+# Algorithm 1's absolute budgets: at most MAX_SYNTH synthetic errors per
+# attribute; of n propagated-clean rows, the contrastive prompt and the
+# criteria verification read every max(1, n // VERIFY_SAMPLE)-th.
+MAX_SYNTH = 300
+VERIFY_SAMPLE = 400
+
 
 @dataclass
 class AttrTrainingData:
@@ -71,8 +77,6 @@ def construct_training_data(
     related: list[str],
     *,
     use_verification: bool = True,
-    max_synth: int = 300,
-    verify_sample: int = 400,
 ) -> AttrTrainingData:
     """Run Algorithm 1 for one attribute."""
     propagated = propagate_labels(clustering, rep_labels)
@@ -85,7 +89,7 @@ def construct_training_data(
         cln_vals = [values[p] for p, l in rep_labels.items() if l == 0]
         clean_positions = [p for p, l in propagated.items() if l == 0]
         # subsample for the LLM context and criterion verification cost
-        step = max(1, len(clean_positions) // verify_sample)
+        step = max(1, len(clean_positions) // VERIFY_SAMPLE)
         clean_rows = dirty.iloc[clean_positions[::step]].to_dict("records")
         refined = refine_criteria(llm, attr, err_vals, cln_vals, clean_rows, related)
         passes, applicable = evaluate_table(refined, dirty.iloc[clean_positions])
@@ -111,7 +115,7 @@ def construct_training_data(
     td.real_labels = [propagated[p] for p in td.real_positions]
 
     if use_verification:
-        need = min(max(0, td.n_clean - td.n_errors), max_synth)
+        need = min(max(0, td.n_clean - td.n_errors), MAX_SYNTH)
         # Full rows: synthetic variants must featurize with the same context
         # slots (related-of-related vicinity, dependency criteria) as real rows,
         # otherwise the detector can shortcut on "missing context" artifacts.

@@ -29,7 +29,7 @@ def base_features(ctx, attr, value, row):
     out = ctx._frequency_slots(attr, value)
     for q in ctx.related.get(attr, []):
         out.append(ctx._vicinity_slot(attr, q, value, row.get(q, "")))
-    out.extend(embed_value(value, EMB_DIM))
+    out.extend(embed_value(value))
     out.extend(_bit(c, value, row) for c in ctx.criteria.get(attr, []))
     return np.asarray(out, dtype=np.float64)
 
@@ -175,3 +175,35 @@ def test_distinct_rows_factorizes_bitwise():
         assert np.array_equal(codes[first], np.arange(len(first)))
         assert np.all(first[codes] <= np.arange(len(X)))
         assert len(first) == len({r.tobytes() for r in X}) == len(base)
+
+
+def sort_reference(X):
+    """``distinct_rows`` by sorting: ``np.unique`` over the rows' bytes, then
+    the distinct rows renumbered in first-occurrence order."""
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
+
+
+def test_distinct_rows_matches_sort_reference():
+    g = np.random.default_rng(1)
+    twins = np.array([[0.0, 1.5, -0.0], [-0.0, 1.5, 0.0], [0.0, 1.5, 0.0], [-0.0, 1.5, -0.0]])
+    matrices = {
+        "repeated": np.round(g.random((40, 6)), 1)[g.integers(0, 40, 500)],
+        "signed zeros": twins[g.integers(0, len(twins), 50)],
+        # int64 (row code, label) pairs, as training_pairs factorizes them
+        "pair codes": np.column_stack([g.integers(0, 9, 200), g.integers(0, 2, 200)]),
+        "one row": g.random((1, 4)),
+        "all distinct": g.random((30, 3)),
+    }
+    for name, M in matrices.items():
+        codes, first = distinct_rows(M)
+        ref_codes, ref_first = sort_reference(M)
+        assert np.array_equal(codes, ref_codes), name
+        assert np.array_equal(first, ref_first), name
+        assert codes.dtype == ref_codes.dtype and first.dtype == ref_first.dtype, name
+    assert len(distinct_rows(matrices["signed zeros"])[1]) == len(twins)

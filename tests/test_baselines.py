@@ -138,14 +138,16 @@ def test_raha_shape_and_determinism(flights_tiny, flights_stats):
 
 
 def test_raha_low_budget_limits_recall(hospital_tiny, hospital_stats):
-    mask = raha.detect(hospital_tiny, hospital_stats, labeled_tuples=2, seed=0)
+    assert raha.LABELED_TUPLES == 2
+    mask = raha.detect(hospital_tiny, hospital_stats, seed=0)
     m = prf(mask, hospital_tiny.error_mask)
     assert m["rec"] < 0.7  # 2 labeled tuples cannot cover all error patterns
 
 
-def test_raha_more_labels_helps(flights_tiny, flights_stats):
-    low = prf(raha.detect(flights_tiny, flights_stats, labeled_tuples=2, seed=0), flights_tiny.error_mask)
-    high = prf(raha.detect(flights_tiny, flights_stats, labeled_tuples=20, seed=0), flights_tiny.error_mask)
+def test_raha_more_labels_helps(flights_tiny, flights_stats, monkeypatch):
+    low = prf(raha.detect(flights_tiny, flights_stats, seed=0), flights_tiny.error_mask)
+    monkeypatch.setattr(raha, "LABELED_TUPLES", 20)
+    high = prf(raha.detect(flights_tiny, flights_stats, seed=0), flights_tiny.error_mask)
     assert high["f1"] >= low["f1"] - 0.05
 
 

@@ -4,7 +4,9 @@ import pytest
 
 from repro.features.assemble import build_context, distinct_rows, featurize_pdf
 from repro.features.correlation import top_related
-from repro.training.classifier import MLP, fit_mlp, train_predict_attribute, training_pairs
+from repro.training.classifier import (
+    HIDDEN, MLP, STEPS, fit_mlp, train_predict_attribute, training_pairs,
+)
 from repro.training.construct import AttrTrainingData
 
 
@@ -41,7 +43,7 @@ def test_learns_separable_signal(ctx):
     X = g.random((200, 6))
     y = (X[:, 2] > 0.5).astype(int)
     td = AttrTrainingData(real_positions=list(range(150)), real_labels=list(y[:150]))
-    pred, _ = train_predict_attribute(ctx, "city", td, X, max_iter=80, seed=0)
+    pred, _ = train_predict_attribute(ctx, "city", td, X, seed=0)
     acc = (pred == y.astype(bool)).mean()
     assert acc > 0.9
 
@@ -62,21 +64,21 @@ def test_convergence_record(ctx):
     X = g.random((100, 4))
     y = (X[:, 1] > 0.5).astype(int)
     td = AttrTrainingData(real_positions=list(range(100)), real_labels=list(y))
-    _, fit = train_predict_attribute(ctx, "city", td, X, max_iter=40, seed=0)
-    assert fit["steps"] == 40
+    _, fit = train_predict_attribute(ctx, "city", td, X, seed=0)
+    assert fit["steps"] == STEPS
     assert 0.0 <= fit["loss"] < np.log(2)  # below a coin flip's cross-entropy
     _, const = train_predict_attribute(ctx, "city", AttrTrainingData(), X)
     assert const == {"steps": 0, "loss": None}
 
 
-def reference_fit(X, y, *, hidden, steps, seed):
+def reference_fit(X, y, *, seed):
     """The full-row fit: Adam on the mean cross-entropy over every row."""
     g = np.random.default_rng(seed)
-    b_in, b_hid = 1.0 / np.sqrt(X.shape[1]), 1.0 / np.sqrt(hidden)
+    b_in, b_hid = 1.0 / np.sqrt(X.shape[1]), 1.0 / np.sqrt(HIDDEN)
     params = [
-        g.uniform(-b_in, b_in, (X.shape[1], hidden)),
-        g.uniform(-b_in, b_in, hidden),
-        g.uniform(-b_hid, b_hid, (hidden, 2)),
+        g.uniform(-b_in, b_in, (X.shape[1], HIDDEN)),
+        g.uniform(-b_in, b_in, HIDDEN),
+        g.uniform(-b_hid, b_hid, (HIDDEN, 2)),
         g.uniform(-b_hid, b_hid, 2),
     ]
     m = [np.zeros_like(p) for p in params]
@@ -91,7 +93,7 @@ def reference_fit(X, y, *, hidden, steps, seed):
         grad[rows, y] -= 1.0
         return float(-log_p[rows, y].mean()), grad / len(y)
 
-    for t in range(1, steps + 1):
+    for t in range(1, STEPS + 1):
         W1, b1, W2, b2 = params
         pre = X @ W1 + b1
         h = np.maximum(pre, 0.0)
@@ -119,8 +121,8 @@ def test_distinct_pair_fit_matches_full_row_fit():
     y[:25] = 1 - y[:25]
     pairs = training_pairs(X, distinct_rows(X)[0], range(len(X)), y, np.empty((0, X.shape[1])))
     for seed in (0, 1):
-        net, loss = fit_mlp(*pairs, hidden=16, steps=60, seed=seed)
-        ref, ref_loss = reference_fit(X, y, hidden=16, steps=60, seed=seed)
+        net, loss = fit_mlp(*pairs, seed=seed)
+        ref, ref_loss = reference_fit(X, y, seed=seed)
         assert abs(loss - ref_loss) <= 1e-9 * ref_loss
         assert np.array_equal(net.predict(base), ref.predict(base))
 
@@ -135,7 +137,7 @@ def test_detector_matches_full_row_fit_on_hospital(ctx, hospital_tiny):
         td = AttrTrainingData(real_positions=list(range(0, len(X), 2)), real_labels=list(y[::2]))
         pred, fit = train_predict_attribute(ctx, a, td, X, seed=4)
         ref, ref_loss = reference_fit(
-            X[td.real_positions], np.array(td.real_labels, dtype=float), hidden=16, steps=60, seed=4
+            X[td.real_positions], np.array(td.real_labels, dtype=float), seed=4
         )
         assert abs(fit["loss"] - ref_loss) <= 1e-9 * ref_loss, a
         assert np.array_equal(pred, ref.predict(X)), a
@@ -168,6 +170,4 @@ def test_training_pairs_match_materialized_pool():
     assert np.array_equal(y, ref[1])
     assert np.array_equal(w, ref[2])
     for seed in (0, 3):
-        assert fit_mlp(X, y, w, hidden=8, steps=20, seed=seed)[1] == (
-            fit_mlp(*ref, hidden=8, steps=20, seed=seed)[1]
-        )
+        assert fit_mlp(X, y, w, seed=seed)[1] == fit_mlp(*ref, seed=seed)[1]

@@ -5,7 +5,8 @@ import pytest
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import refine_criteria
 from repro.sampling.cluster import AttrClustering
-from repro.training.construct import construct_training_data, propagate_labels
+from repro.training import construct
+from repro.training.construct import VERIFY_SAMPLE, construct_training_data, propagate_labels
 
 
 def _clustering(assign, reps):
@@ -90,13 +91,13 @@ def test_construct_token_usage(constructed):
     assert "augmentation" in llm.usage.by_purpose
 
 
-def test_max_synth_cap(hospital_tiny):
+def test_max_synth_cap(hospital_tiny, monkeypatch):
+    monkeypatch.setattr(construct, "MAX_SYNTH", 7)
     llm = SimulatedLLM(seed=0)
     n = len(hospital_tiny.dirty)
     assign = np.zeros(n, dtype=int)
     td = construct_training_data(
-        llm, hospital_tiny.dirty, "city", _clustering(assign, {0: 0}), {0: 0},
-        [], max_synth=7,
+        llm, hospital_tiny.dirty, "city", _clustering(assign, {0: 0}), {0: 0}, []
     )
     assert len(td.synth_rows) <= 7
 
@@ -133,7 +134,7 @@ def verify_reference(llm, dirty, attr, clustering, rep_labels, related, verify_s
     return derived, refined, len(evicted), sorted(p for p in propagated if p not in evicted)
 
 
-def test_verification_matches_per_row_reference(hospital_tiny):
+def test_verification_matches_per_row_reference(hospital_tiny, monkeypatch):
     dirty = hospital_tiny.dirty
     n = len(dirty)
     assign = np.arange(n) % 10
@@ -142,9 +143,10 @@ def test_verification_matches_per_row_reference(hospital_tiny):
     for attr in dirty.columns:
         rep_labels = {p: int(hospital_tiny.error_mask[attr].iloc[p]) for p in reps.values()}
         related = [b for b in dirty.columns if b != attr][:2]
-        for verify_sample in (20, 400):
+        for verify_sample in (20, VERIFY_SAMPLE):
+            monkeypatch.setattr(construct, "VERIFY_SAMPLE", verify_sample)
             args = (dirty, attr, _clustering(assign, reps), rep_labels, related)
-            td = construct_training_data(SimulatedLLM(seed=0), *args, verify_sample=verify_sample)
+            td = construct_training_data(SimulatedLLM(seed=0), *args)
             derived, refined, evicted, positions = verify_reference(
                 SimulatedLLM(seed=0), *args, verify_sample
             )

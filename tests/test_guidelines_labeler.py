@@ -54,7 +54,7 @@ def test_label_representatives_batches_and_tokens(guidelines, hospital_tiny, rel
     llm = SimulatedLLM(seed=0)
     reps = list(range(0, 50))
     labels = label_representatives(
-        llm, hospital_tiny.dirty, "state", reps, g["state"], related["state"], batch_size=20
+        llm, hospital_tiny.dirty, "state", reps, g["state"], related["state"]
     )
     assert set(labels) == set(reps)
     assert set(labels.values()) <= {0, 1}

@@ -1,6 +1,5 @@
 """End-to-end ZeroED tests on a tiny hospital instance (session-cached)."""
 import dataclasses
-import inspect
 
 import pytest
 
@@ -8,7 +7,7 @@ import repro.core.zeroed as zeroed
 from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import load_dataset
 from repro.exp.tables import SHUFFLE_PARTITIONS
-from repro.training.classifier import train_predict_attribute
+from repro.training.classifier import STEPS
 
 
 def test_mask_shape(hospital_result, hospital_tiny):
@@ -156,7 +155,7 @@ def test_detector_convergence_recorded(hospital_result, hospital_tiny):
     assert set(det) == set(hospital_tiny.attrs)
     for fit in det.values():
         if fit["steps"]:
-            assert fit["steps"] == inspect.signature(train_predict_attribute).parameters["max_iter"].default
+            assert fit["steps"] == STEPS
             assert 0.0 <= fit["loss"] < float("inf")
         else:
             assert fit["loss"] is None
