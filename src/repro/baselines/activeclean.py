@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.ml import Pipeline
-from pyspark.ml.classification import LogisticRegression
-from pyspark.ml.feature import HashingTF, Tokenizer
 from pyspark.sql import SparkSession
 
 from repro.datasets.base import Dataset
@@ -34,6 +31,11 @@ def detect(
     *,
     seed: int = 0,
 ) -> pd.DataFrame:
+    # MLlib loads only when ActiveClean runs, not on every harness import
+    from pyspark.ml import Pipeline
+    from pyspark.ml.classification import LogisticRegression
+    from pyspark.ml.feature import HashingTF, Tokenizer
+
     g = np.random.default_rng(seed)
     n = len(ds.dirty)
     text = ds.dirty.apply(lambda r: " ".join(str(v) for v in r), axis=1)

@@ -2,7 +2,8 @@
 
 For a cell value D[i,j] the base feature is the concatenation of
 
-* statistical features: value frequency + L1/L2/L3 pattern frequencies,
+* statistical features: value frequency + the pattern frequency at each
+  level of :data:`~repro.features.patterns.PATTERN_LEVELS`,
 * vicinity frequencies w.r.t. each NMI-correlated attribute,
 * the semantic embedding (hashed char-n-gram FastText substitute),
 * the binary error-checking criteria features,
@@ -19,8 +20,9 @@ values, and the criteria bits through
 :func:`~repro.features.criteria.evaluate_table`, which knows which
 columns each criterion reads. A low-cardinality attribute costs a
 handful of evaluations rather than one per row. Featurization is a lookup
-into the count dictionaries that the Spark statistics pass collected; it
-runs on the driver over the driver-held table
+into the :class:`~repro.features.stats.DatasetStats` that the Spark
+statistics pass collected, which :class:`FeatureContext` holds; it runs
+on the driver over the driver-held table
 (:func:`collect_feature_matrices`), where every later stage reads the
 matrices. The same function featurizes synthetic augmentation rows, so
 training-time and prediction-time features agree by construction.
@@ -43,12 +45,15 @@ from pyspark.sql import DataFrame
 from repro.datasets.base import ROW_ID
 from repro.features.criteria import Criterion, evaluate_table, factorize
 from repro.features.embedding import EMB_DIM, embed_value
-from repro.features.patterns import l1_pattern, l2_pattern, l3_pattern, l3_shape
+from repro.features.patterns import PATTERN_LEVELS
 from repro.features.stats import DatasetStats
 
 # Weight of the related attributes' base blocks in the full feature vector
 # (see featurize_pdf).
 RELATED_WEIGHT = 0.4
+# Leading slots of a base block: the value frequency and one pattern
+# frequency per level of PATTERN_LEVELS.
+N_FREQ = 1 + len(PATTERN_LEVELS)
 
 
 def _loo(count: int) -> int:
@@ -64,20 +69,17 @@ def _loo(count: int) -> int:
 
 @dataclass
 class FeatureContext:
-    """Everything needed to featurize any cell: the collected count
-    dictionaries, each attribute's related attributes and its criteria."""
+    """Everything needed to featurize any cell: the :class:`DatasetStats`
+    whose counts every frequency, pattern and vicinity slot reads, each
+    attribute's related attributes and its criteria."""
 
-    n: int
-    attrs: list[str]
+    stats: DatasetStats
     related: dict[str, list[str]]
     criteria: dict[str, list[Criterion]]
-    value_counts: dict[str, dict[str, int]]
-    pattern_counts: dict[str, dict[str, dict[str, int]]]  # attr -> level -> counts
-    vicinity: dict[tuple[str, str], dict[tuple[str, str], int]]  # (attr, q) joint
 
     # ----------------------------------------------------------- helpers
     def base_dim(self, attr: str) -> int:
-        return 5 + len(self.related.get(attr, [])) + EMB_DIM + len(self.criteria.get(attr, []))
+        return N_FREQ + len(self.related.get(attr, [])) + EMB_DIM + len(self.criteria.get(attr, []))
 
     def full_dim(self, attr: str) -> int:
         return self.base_dim(attr) + sum(
@@ -85,29 +87,21 @@ class FeatureContext:
         )
 
     def _frequency_slots(self, attr: str, value: str) -> list[float]:
-        n = max(1, self.n)
-        pc = self.pattern_counts[attr]
+        """The value's frequency, then its pattern frequency at each level
+        of :data:`PATTERN_LEVELS`, in order."""
+        n = max(1, self.stats.n)
         return [
-            _loo(self.value_counts[attr].get(value, 0)) / n,
-            _loo(pc["l1"].get(l1_pattern(value), 0)) / n,
-            _loo(pc["l2"].get(l2_pattern(value), 0)) / n,
-            _loo(pc["l3"].get(l3_pattern(value), 0)) / n,
-            _loo(pc["shape3"].get(l3_shape(value), 0)) / n,
+            _loo(self.stats.value_counts[attr].get(value, 0)) / n,
+            *(
+                _loo(self.stats.pattern_counts(attr, level).get(pattern(value), 0)) / n
+                for level, pattern in PATTERN_LEVELS.items()
+            ),
         ]
 
     def _vicinity_slot(self, attr: str, q: str, value: str, vq: str) -> float:
-        denom = _loo(self.value_counts[q].get(vq, 0))
-        joint = self.vicinity.get((attr, q), {})
+        denom = _loo(self.stats.value_counts[q].get(vq, 0))
+        joint = self.stats.joint_counts(attr, q)
         return _loo(joint.get((value, vq), 0)) / denom if denom else 0.0
-
-    def value_slots(self, attr: str, value: str) -> list[float]:
-        """The base slots that read only the value: frequencies and patterns,
-        and the embedding."""
-        return [*self._frequency_slots(attr, value), *embed_value(value)]
-
-    def context_slots(self, attr: str, value: str, row: dict) -> list[float]:
-        """The base slots that read the related attributes' values: vicinities."""
-        return [self._vicinity_slot(attr, q, value, row.get(q, "")) for q in self.related.get(attr, [])]
 
 
 def build_context(
@@ -115,45 +109,27 @@ def build_context(
     related: dict[str, list[str]],
     criteria: dict[str, list[Criterion]],
 ) -> FeatureContext:
-    """Assemble a :class:`FeatureContext` from collected stats + criteria."""
-    attrs = stats.attrs
-    pattern_counts = {
-        a: {lvl: stats.pattern_counts(a, lvl) for lvl in ("l1", "l2", "l3", "shape3")}
-        for a in attrs
-    }
-    vicinity = {}
-    for a in attrs:
-        for q in related.get(a, []):
-            vicinity[(a, q)] = stats.joint_counts(a, q)
-    return FeatureContext(
-        n=stats.n,
-        attrs=attrs,
-        related=related,
-        criteria=criteria,
-        value_counts=stats.value_counts,
-        pattern_counts=pattern_counts,
-        vicinity=vicinity,
-    )
+    """The :class:`FeatureContext` over collected stats + criteria."""
+    return FeatureContext(stats, related, criteria)
 
 
 def _base_block(ctx: FeatureContext, pdf: pd.DataFrame, attr: str) -> np.ndarray:
     """Base features of every row's ``attr`` cell: (len(pdf), base_dim)."""
     related = ctx.related.get(attr, [])
-    first_criterion = 5 + len(related) + EMB_DIM
+    first_criterion = N_FREQ + len(related) + EMB_DIM
     base = np.empty((len(pdf), ctx.base_dim(attr)))
     codes, values = factorize(pdf[attr].tolist(), len(pdf))
-    per_value = np.empty((len(values), 5 + EMB_DIM))
+    per_value = np.empty((len(values), N_FREQ + EMB_DIM))
     for i, v in enumerate(values):
-        per_value[i] = ctx.value_slots(attr, v)
-    base[:, :5] = per_value[codes, :5]
-    base[:, 5 + len(related):first_criterion] = per_value[codes, 5:]
+        per_value[i] = [*ctx._frequency_slots(attr, v), *embed_value(v)]
+    base[:, :N_FREQ] = per_value[codes, :N_FREQ]
+    base[:, N_FREQ + len(related):first_criterion] = per_value[codes, N_FREQ:]
     if related:
-        keys = [attr, *related]
-        codes, contexts = factorize(zip(*(pdf[c].tolist() for c in keys)), len(pdf))
+        codes, contexts = factorize(zip(*(pdf[c].tolist() for c in [attr, *related])), len(pdf))
         per_key = np.empty((len(contexts), len(related)))
-        for i, k in enumerate(contexts):
-            per_key[i] = ctx.context_slots(attr, k[0], dict(zip(keys, k)))
-        base[:, 5:5 + len(related)] = per_key[codes]
+        for i, (v, *vqs) in enumerate(contexts):
+            per_key[i] = [ctx._vicinity_slot(attr, q, v, vq) for q, vq in zip(related, vqs)]
+        base[:, N_FREQ:N_FREQ + len(related)] = per_key[codes]
     base[:, first_criterion:] = evaluate_table(ctx.criteria.get(attr, []), pdf)[0]
     return base
 
@@ -173,7 +149,7 @@ def featurize_pdf(
     matrix is allocated once and its blocks are written into it, the
     related ones scaled in place.
     """
-    attrs = ctx.attrs if attrs is None else attrs
+    attrs = ctx.stats.attrs if attrs is None else attrs
     blocks = {
         x: _base_block(ctx, pdf, x)
         for x in dict.fromkeys(b for a in attrs for b in [a, *ctx.related.get(a, [])])
@@ -194,14 +170,14 @@ def features_sdf(sdf: DataFrame, ctx: FeatureContext) -> DataFrame:
     """:func:`featurize_pdf` as a Spark ``mapInPandas`` pass:
     ``(__row_id, f_<attr> array<double>, ...)``."""
     schema = ", ".join(
-        [f"{ROW_ID} long"] + [f"f_{a} array<double>" for a in ctx.attrs]
+        [f"{ROW_ID} long"] + [f"f_{a} array<double>" for a in ctx.stats.attrs]
     )
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             mats = featurize_pdf(ctx, pdf)
             out = {ROW_ID: pdf[ROW_ID].to_numpy()}
-            for a in ctx.attrs:
+            for a in ctx.stats.attrs:
                 out[f"f_{a}"] = list(mats[a])
             yield pd.DataFrame(out)
 

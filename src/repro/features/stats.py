@@ -76,6 +76,7 @@ class DatasetStats:
     value_counts: dict[str, dict[str, int]]
     joint: dict[tuple[str, str], dict[tuple[str, str], int]]
     _pattern_cache: dict = field(default_factory=dict, repr=False)
+    _reversed_joint: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------ derived
     def pattern_counts(self, attr: str, level: str) -> dict[str, int]:
@@ -130,11 +131,14 @@ class DatasetStats:
         }
 
     def joint_counts(self, a1: str, a2: str) -> dict[tuple[str, str], int]:
-        """Joint counts with keys ordered as ``(v_of_a1, v_of_a2)``."""
+        """Joint counts with keys ordered as ``(v_of_a1, v_of_a2)``. The
+        reversed orientation of a collected pair is built once and kept."""
         if (a1, a2) in self.joint:
             return self.joint[(a1, a2)]
-        sw = self.joint.get((a2, a1), {})
-        return {(v1, v2): c for (v2, v1), c in sw.items()}
+        if (a1, a2) not in self._reversed_joint:
+            sw = self.joint.get((a2, a1), {})
+            self._reversed_joint[(a1, a2)] = {(v1, v2): c for (v2, v1), c in sw.items()}
+        return self._reversed_joint[(a1, a2)]
 
     def dependency_mapping(self, attr: str, other: str) -> dict[str, tuple[str, float, int]]:
         """For each value of ``other``: (majority value of attr, purity, size)."""
@@ -157,9 +161,8 @@ def collect_stats(sdf: DataFrame, attrs: list[str]) -> DatasetStats:
     # the grouping keys are unique, so sorting whole rows orders them by
     # (a1, a2, v1, v2) whatever order the shuffle returned them in
     for a1, a2, v1, v2, cnt in sorted(pair_counts_sdf(sdf, attrs).collect()):
-        if a1 == a2:
-            if v1 == v2:  # diagonal: plain value counts
-                value_counts[a1][v1] = cnt
+        if a1 == a2:  # diagonal: v1 == v2, plain value counts
+            value_counts[a1][v1] = cnt
         else:
             joint.setdefault((a1, a2), {})[(v1, v2)] = cnt
     n = sum(value_counts[attrs[0]].values())

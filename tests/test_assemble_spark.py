@@ -58,7 +58,7 @@ def feats(ctx, hospital_tiny):
 
 
 def test_dims(ctx):
-    for a in ctx.attrs:
+    for a in ctx.stats.attrs:
         base = 5 + len(ctx.related[a]) + EMB_DIM + 2
         assert ctx.base_dim(a) == base
         assert ctx.full_dim(a) == base + sum(ctx.base_dim(q) for q in ctx.related[a])
@@ -67,14 +67,14 @@ def test_dims(ctx):
 def test_matrix_shapes(feats, ctx, hospital_tiny):
     row_ids, mats = feats
     assert list(row_ids) == list(range(len(hospital_tiny.dirty)))
-    for a in ctx.attrs:
+    for a in ctx.stats.attrs:
         assert mats[a].shape == (len(hospital_tiny.dirty), ctx.full_dim(a))
         assert np.isfinite(mats[a]).all()
 
 
 def test_features_bounded(feats, ctx):
     _, mats = feats
-    for a in ctx.attrs:
+    for a in ctx.stats.attrs:
         assert mats[a].max() <= 1.0 + 1e-9
         assert mats[a].min() >= -1.0 - 1e-9
 
@@ -97,7 +97,7 @@ def test_spark_matches_driver_featurization(hospital_sdf, derived_ctx, hospital_
         sdf = features_sdf(hospital_sdf.repartition(partitions), derived_ctx)
         pdf = sdf.orderBy(ROW_ID).toPandas()
         assert pdf[ROW_ID].tolist() == list(range(len(hospital_tiny.dirty)))
-        for a in derived_ctx.attrs:
+        for a in derived_ctx.stats.attrs:
             assert np.array_equal(np.vstack(pdf[f"f_{a}"].to_numpy()), local[a]), (partitions, a)
 
 
@@ -108,7 +108,7 @@ def test_per_key_matches_per_row_reference(derived_ctx, hospital_tiny):
     )
     rows = hospital_tiny.dirty.to_dict("records")
     mats = featurize_pdf(derived_ctx, hospital_tiny.dirty)
-    for a in derived_ctx.attrs:
+    for a in derived_ctx.stats.attrs:
         expected = np.vstack([full_features_reference(derived_ctx, a, r) for r in rows])
         assert np.array_equal(mats[a], expected), a
 
@@ -116,7 +116,7 @@ def test_per_key_matches_per_row_reference(derived_ctx, hospital_tiny):
 def test_per_key_matches_per_row_reference_on_synthetic_rows(derived_ctx, hospital_tiny):
     """Synthetic rows (values absent from the table) featurize as the reference does."""
     llm = SimulatedLLM(seed=0)
-    for a in derived_ctx.attrs:
+    for a in derived_ctx.stats.attrs:
         synth = augment_errors(llm, a, hospital_tiny.dirty, 30)
         got = featurize_pdf(derived_ctx, pd.DataFrame(synth), [a])
         assert list(got) == [a]
@@ -126,7 +126,7 @@ def test_per_key_matches_per_row_reference_on_synthetic_rows(derived_ctx, hospit
 
 def test_loo_unique_value_scores_zero(ctx):
     """A value appearing once in the data must read frequency 0 (LOO)."""
-    row = {a: "" for a in ctx.attrs}
+    row = {a: "" for a in ctx.stats.attrs}
     row["city"] = "value-that-does-not-exist"
     f = base_features(ctx, "city", row["city"], row)
     assert f[0] == 0.0  # value frequency
@@ -144,7 +144,7 @@ def test_loo_synth_matches_real_for_shared_value(ctx, hospital_tiny):
 
 
 def test_criteria_bits_present(ctx):
-    row = {a: "x" for a in ctx.attrs}
+    row = {a: "x" for a in ctx.stats.attrs}
     f = base_features(ctx, "city", "", row)
     # last two slots are the criteria bits; empty value fails not_missing
     assert f[-2] == 0.0  # not_missing

@@ -5,9 +5,13 @@ any ``pyspark.sql.functions`` call) captures its call site, and that capture
 imports IPython: about 530 modules and 24 MB more driver RSS, a 19% rise in
 a Flights run's peak RSS. The run path therefore states its Spark work as
 SQL strings (``selectExpr``, ``groupBy("a1", ...)``). This test keeps the
-modules on that path from importing ``pyspark.sql.functions`` or ``Column``.
+modules on that path from importing ``pyspark.sql.functions`` or ``Column``,
+and importing the harness from loading MLlib.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,12 @@ def test_detector_flags_column_imports():
         "pyspark.sql.functions",
         "pyspark.sql.functions.col",
     ]
+
+
+def test_harness_import_loads_no_mllib():
+    """Importing the harness leaves ``pyspark.ml`` unloaded: only ActiveClean
+    uses MLlib, and it imports it when it runs."""
+    code = "import sys, repro.exp.tables; print('pyspark.ml' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 
 from repro.baselines.nadeef import violating_groups
 from repro.features.criteria import is_missing
+from repro.features.patterns import PATTERN_LEVELS
 from repro.features.stats import (
     collect_stats,
     pair_counts_sdf,
@@ -89,7 +90,7 @@ def test_value_counts_sum_to_n(hospital_stats):
 
 
 def test_pattern_counts_conserve_mass(hospital_stats):
-    for level in ("l1", "l2", "l3", "shape3"):
+    for level in PATTERN_LEVELS:
         pc = hospital_stats.pattern_counts("city", level)
         assert sum(pc.values()) == hospital_stats.n
 
@@ -115,8 +116,10 @@ def test_joint_counts_symmetric_access(hospital_stats):
     ab = hospital_stats.joint_counts("city", "state")
     ba = hospital_stats.joint_counts("state", "city")
     assert sum(ab.values()) == sum(ba.values()) == hospital_stats.n
-    for (x, y), c in list(ab.items())[:10]:
-        assert ba[(y, x)] == c
+    assert ba == {(y, x): c for (x, y), c in ab.items()}
+    # the reversed orientation is built once: repeated calls return one object
+    assert hospital_stats.joint_counts("state", "city") is ba
+    assert hospital_stats.joint_counts("city", "state") is ab
 
 
 def test_dependency_mapping_majorities(hospital_stats, hospital_tiny):
