@@ -104,7 +104,7 @@ class ZeroEDRunner:
     def __init__(self, spark: SparkSession, dataset: Dataset):
         self.spark = spark
         self.ds = dataset
-        self.sdf = dataset.dirty_spark(spark)
+        self.sdf = spark.createDataFrame(dataset.dirty)
         self._cache: dict = {}
 
     @property

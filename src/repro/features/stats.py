@@ -2,21 +2,22 @@
 
 All of ZeroED's statistical features (value frequency, vicinity frequency,
 pattern frequency), the NMI attribute-correlation matrix, and the
-guideline distribution summaries derive from a single long-format
-co-occurrence aggregation::
+guideline distribution summaries derive from the counts of the table's
+distinct tuples::
 
-    (a1, a2, v1, v2) -> count   for every ordered attribute pair a1 <= a2
+    (v_1, ..., v_k) -> count
 
-computed in the JVM by one SQL ``stack`` generator (each row yields one
-``(a1, a2, v1, v2)`` row per attribute pair) followed by one
-``groupBy().count()`` shuffle, so the pass starts no Python worker. The
-diagonal (a1 == a2) gives per-attribute value counts; off-diagonal entries
-give joint distributions. Everything else (pattern counts, null counts,
-numeric summaries) is a pure function of value counts and is derived on
-the driver. Cardinalities are bounded by the (small) table sizes of the
-paper's benchmarks, so collecting the aggregated counts is cheap; the
-raw-data pass stays in Spark and is oracle-checked against DuckDB. The
-collected counts are sorted before they fill the dictionaries, so the
+computed in the JVM by one ``groupBy(<every attribute>).count()`` shuffle
+(:func:`tuple_counts_sdf`), so the pass starts no Python worker and the
+collected result has one row per distinct tuple, however many attribute
+pairs the statistics read. On the driver, :func:`collect_stats` sums the
+tuple counts into each attribute's value counts and each attribute pair's
+joint counts, as exact integer sums. Everything else (pattern counts,
+null counts, numeric summaries) is a pure function of value counts and is
+derived on the driver. Cardinalities are bounded by the (small) table
+sizes of the paper's benchmarks, so collecting the distinct tuples is
+cheap; the raw-data pass stays in Spark and is oracle-checked against
+DuckDB. Each dictionary is filled in sorted key order, so the
 dictionaries' order, and the prompts rendered from it, do not depend on
 the Spark plan or its partitioning.
 """
@@ -44,27 +45,25 @@ def robust_sd(median: float, mad: float) -> float:
     return sd if sd > 0 else max(1.0, abs(median) * 0.05)
 
 
-def _sql_string(text: str) -> str:
-    """``text`` as a Spark SQL string literal."""
-    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+def tuple_counts_sdf(sdf: DataFrame, attrs: list[str]) -> DataFrame:
+    """Each distinct tuple of the string columns ``attrs`` and its count:
+    ``(v0, ..., v<k-1>, count)``, ``v<i>`` holding ``attrs[i]``'s value.
+
+    The columns are renamed by position before grouping, so an attribute
+    name is never parsed: ``a.b`` is not read as a struct field.
+    """
+    names = {a: f"v{i}" for i, a in enumerate(attrs)}
+    renamed = sdf.toDF(*[names.get(c, f"_{j}") for j, c in enumerate(sdf.columns)])
+    return renamed.groupBy(*names.values()).count()
 
 
-def _sql_column(name: str) -> str:
-    """``name`` as a quoted Spark SQL column reference."""
-    return "`" + name.replace("`", "``") + "`"
-
-
-def pair_counts_sdf(sdf: DataFrame, attrs: list[str]) -> DataFrame:
-    """Long-format co-occurrence counts ``(a1, a2, v1, v2, count)``, a1 <= a2."""
-    pairs = [(a1, a2) for i, a1 in enumerate(attrs) for a2 in attrs[i:]]
-    args = ", ".join(
-        f"{_sql_string(a1)}, {_sql_string(a2)}, "
-        f"string({_sql_column(a1)}), string({_sql_column(a2)})"
-        for a1, a2 in pairs
-    )
-    return sdf.selectExpr(f"stack({len(pairs)}, {args}) as (a1, a2, v1, v2)").groupBy(
-        "a1", "a2", "v1", "v2"
-    ).count()
+def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative ``keys`` in ascending order, and the sum of
+    ``counts`` over each."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
 @dataclass
@@ -156,14 +155,25 @@ class DatasetStats:
 def collect_stats(sdf: DataFrame, attrs: list[str]) -> DatasetStats:
     """Run the Spark aggregation pass over ``attrs`` and collect into a
     :class:`DatasetStats`."""
-    value_counts: dict[str, dict[str, int]] = {a: {} for a in attrs}
+    rows = tuple_counts_sdf(sdf, attrs).collect()
+    counts = np.array([r[-1] for r in rows], dtype=np.int64)
+    # each attribute's distinct values, sorted, and each tuple's rank among
+    # them: ascending ranks, and ascending rank pairs, are sorted values and
+    # sorted value pairs
+    levels, ranks = zip(*(
+        np.unique(np.array([r[i] for r in rows], dtype=object), return_inverse=True)
+        for i in range(len(attrs))
+    ))
+    value_counts = {
+        a: dict(zip(levels[i].tolist(), _sum_by(ranks[i], counts)[1].tolist()))
+        for i, a in enumerate(attrs)
+    }
     joint: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
-    # the grouping keys are unique, so sorting whole rows orders them by
-    # (a1, a2, v1, v2) whatever order the shuffle returned them in
-    for a1, a2, v1, v2, cnt in sorted(pair_counts_sdf(sdf, attrs).collect()):
-        if a1 == a2:  # diagonal: v1 == v2, plain value counts
-            value_counts[a1][v1] = cnt
-        else:
-            joint.setdefault((a1, a2), {})[(v1, v2)] = cnt
+    pairs = [(i, j) for i in range(len(attrs)) for j in range(i + 1, len(attrs))]
+    for i, j in sorted(pairs, key=lambda p: (attrs[p[0]], attrs[p[1]])):
+        keys, sums = _sum_by(ranks[i] * len(levels[j]) + ranks[j], counts)
+        ri, rj = np.divmod(keys, len(levels[j]))
+        values = zip(levels[i][ri].tolist(), levels[j][rj].tolist())
+        joint[(attrs[i], attrs[j])] = dict(zip(values, sums.tolist()))
     n = sum(value_counts[attrs[0]].values())
     return DatasetStats(n=n, attrs=attrs, value_counts=value_counts, joint=joint)

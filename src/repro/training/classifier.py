@@ -22,6 +22,13 @@ both. The pool is never copied out: its real rows are positions in the
 matrix, so :func:`training_pairs` finds the distinct pairs from those
 rows' codes, with the synthetic rows merged into the same codes by their
 bytes, and copies only the distinct pairs' rows.
+
+A fit of that size is bound by numpy's per-call overhead, not by its
+arithmetic, so :func:`fit_mlp` keeps the parameters, the gradients and
+Adam's moments each in one flat vector with per-layer views: the backward
+pass writes the gradients into their views, and one Adam update covers
+every layer. The fitted weights are those of a per-layer update, bit for
+bit.
 """
 from __future__ import annotations
 
@@ -60,15 +67,22 @@ class MLP:
         return z[:, 1] > z[:, 0]
 
 
-def _cross_entropy(z: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy of logits ``z`` weighted by ``w`` (summing to 1),
-    and its gradient in ``z``."""
-    z = z - z.max(axis=1, keepdims=True)
-    log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    rows = np.arange(len(y))
-    grad = np.exp(log_p)
-    grad[rows, y] -= 1.0
-    return float(-(w @ log_p[rows, y])), grad * w[:, None]
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of the two-column logits ``z``, in place. With two
+    columns a row's max and sum are one elementwise op each, the same IEEE
+    operation as the row reduction."""
+    z -= np.maximum(z[:, :1], z[:, 1:])
+    e = np.exp(z)
+    z -= np.log(e[:, :1] + e[:, 1:])
+    return z
+
+
+def _layers(flat: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """Views ``W1, b1, W2, b2`` of a ``[dim, HIDDEN, 2]`` network's flat
+    parameter vector (or of a vector shaped like it)."""
+    i = dim * HIDDEN
+    j = i + HIDDEN
+    return flat[:i].reshape(dim, HIDDEN), flat[i:j], flat[j:-2].reshape(HIDDEN, 2), flat[-2:]
 
 
 def training_pairs(
@@ -106,35 +120,64 @@ def fit_mlp(X: np.ndarray, y: np.ndarray, w: np.ndarray, *, seed: int) -> tuple[
     label) pairs ``X``, ``y``, each pair's cross-entropy weighted by its share
     ``w`` of the pool (see :func:`training_pairs`); return the net and its
     final mean loss over the pool.
+
+    The parameters, their gradients and Adam's two moments are each one
+    flat vector, whose per-layer views (:func:`_layers`) the forward and
+    backward passes read and write, so each Adam update is a few operations
+    over the whole vector rather than a loop over the layers. Every element
+    goes through the same IEEE operations as in a per-layer update.
     """
     g = np.random.default_rng(seed)
     dim = X.shape[1]
     # PyTorch nn.Linear's default init, U(±1/sqrt(fan_in)) for weights and
-    # biases: the paper's detector is a PyTorch MLP
+    # biases: the paper's detector is a PyTorch MLP. W1 and b1 share a
+    # bound, as do W2 and b2, and one draw per bound in the flat vector's
+    # order gives the same values as one draw per layer.
     b_in, b_hid = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(HIDDEN)
-    params = [
-        g.uniform(-b_in, b_in, (dim, HIDDEN)),
-        g.uniform(-b_in, b_in, HIDDEN),
-        g.uniform(-b_hid, b_hid, (HIDDEN, 2)),
-        g.uniform(-b_hid, b_hid, 2),
-    ]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    params = np.concatenate([
+        g.uniform(-b_in, b_in, (dim + 1) * HIDDEN), g.uniform(-b_hid, b_hid, 2 * HIDDEN + 2)
+    ])
+    grads, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+    step, denom = np.empty_like(params), np.empty_like(params)
+    W1, b1, W2, b2 = _layers(params, dim)
+    gW1, gb1, gW2, gb2 = _layers(grads, dim)
+    rows, w_col = np.arange(len(y)), w[:, None]
+    onehot = np.zeros((len(y), 2))
+    onehot[rows, y] = 1.0
     for t in range(1, STEPS + 1):
-        W1, b1, W2, b2 = params
-        pre = X @ W1 + b1
+        pre = X @ W1
+        pre += b1
         h = np.maximum(pre, 0.0)
-        _loss, dz = _cross_entropy(h @ W2 + b2, y, w)
-        dpre = (dz @ W2.T) * (pre > 0)
-        grads = [X.T @ dpre, dpre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
-        for p, gr, m_i, v_i in zip(params, grads, m, v):
-            m_i *= BETA1
-            m_i += (1 - BETA1) * gr
-            v_i *= BETA2
-            v_i += (1 - BETA2) * gr**2
-            p -= LEARNING_RATE * (m_i / (1 - BETA1**t)) / (np.sqrt(v_i / (1 - BETA2**t)) + EPS)
-    net = MLP(*params)
-    return net, _cross_entropy(net.logits(X), y, w)[0]
+        z = h @ W2
+        z += b2
+        # the weighted cross-entropy's gradient in z: (softmax - onehot)·w
+        dz = np.exp(_log_softmax(z))
+        dz -= onehot
+        dz *= w_col
+        dpre = dz @ W2.T
+        dpre *= pre > 0
+        np.matmul(X.T, dpre, out=gW1)
+        dpre.sum(axis=0, out=gb1)
+        np.matmul(h.T, dz, out=gW2)
+        dz.sum(axis=0, out=gb2)
+        # m = BETA1·m + (1-BETA1)·g;  v = BETA2·v + (1-BETA2)·g²
+        m *= BETA1
+        np.multiply(grads, 1 - BETA1, out=step)
+        m += step
+        v *= BETA2
+        np.square(grads, out=step)
+        step *= 1 - BETA2
+        v += step
+        # params -= LEARNING_RATE·m̂ / (sqrt(v̂) + EPS)
+        np.divide(m, 1 - BETA1**t, out=step)
+        step *= LEARNING_RATE
+        np.divide(v, 1 - BETA2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        step /= denom
+        params -= step
+    net = MLP(W1, b1, W2, b2)
+    return net, float(-(w @ _log_softmax(net.logits(X))[rows, y]))
 
 
 def train_predict_attribute(

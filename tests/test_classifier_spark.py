@@ -5,7 +5,8 @@ import pytest
 from repro.features.assemble import build_context, distinct_rows, featurize_pdf
 from repro.features.correlation import top_related
 from repro.training.classifier import (
-    HIDDEN, MLP, STEPS, fit_mlp, train_predict_attribute, training_pairs,
+    BETA1, BETA2, EPS, HIDDEN, LEARNING_RATE, MLP, STEPS, fit_mlp, train_predict_attribute,
+    training_pairs,
 )
 from repro.training.construct import AttrTrainingData
 
@@ -171,3 +172,80 @@ def test_training_pairs_match_materialized_pool():
     assert np.array_equal(w, ref[2])
     for seed in (0, 3):
         assert fit_mlp(X, y, w, seed=seed)[1] == fit_mlp(*ref, seed=seed)[1]
+
+
+def reference_adam_fit(X, y, w, *, seed):
+    """The per-layer form of :func:`fit_mlp`: one Adam update per parameter
+    array, and the weighted cross-entropy and its gradient in one function."""
+
+    def cross_entropy(z):
+        z = z - z.max(axis=1, keepdims=True)
+        log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        rows = np.arange(len(y))
+        grad = np.exp(log_p)
+        grad[rows, y] -= 1.0
+        return float(-(w @ log_p[rows, y])), grad * w[:, None]
+
+    g = np.random.default_rng(seed)
+    dim = X.shape[1]
+    b_in, b_hid = 1.0 / np.sqrt(dim), 1.0 / np.sqrt(HIDDEN)
+    params = [
+        g.uniform(-b_in, b_in, (dim, HIDDEN)),
+        g.uniform(-b_in, b_in, HIDDEN),
+        g.uniform(-b_hid, b_hid, (HIDDEN, 2)),
+        g.uniform(-b_hid, b_hid, 2),
+    ]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t in range(1, STEPS + 1):
+        W1, b1, W2, b2 = params
+        pre = X @ W1 + b1
+        h = np.maximum(pre, 0.0)
+        _loss, dz = cross_entropy(h @ W2 + b2)
+        dpre = (dz @ W2.T) * (pre > 0)
+        grads = [X.T @ dpre, dpre.sum(axis=0), h.T @ dz, dz.sum(axis=0)]
+        for p, gr, m_i, v_i in zip(params, grads, m, v):
+            m_i *= BETA1
+            m_i += (1 - BETA1) * gr
+            v_i *= BETA2
+            v_i += (1 - BETA2) * gr**2
+            p -= LEARNING_RATE * (m_i / (1 - BETA1**t)) / (np.sqrt(v_i / (1 - BETA2**t)) + EPS)
+    net = MLP(*params)
+    return net, cross_entropy(net.logits(X))[0]
+
+
+def assert_bit_equal_fit(X, y, w, seed):
+    net, loss = fit_mlp(X, y, w, seed=seed)
+    ref, ref_loss = reference_adam_fit(X, y, w, seed=seed)
+    for name in ("W1", "b1", "W2", "b2"):
+        got, want = getattr(net, name), getattr(ref, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    assert loss == ref_loss
+
+
+@pytest.mark.parametrize(
+    "rows, dim", [(2, 1), (9, 1), (2, 30), (145, 20), (238, 45), (60, 90)]
+)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_flat_fit_matches_per_layer_reference(rows, dim, seed):
+    """The flat-state fit gives the per-layer Adam loop's weights and loss,
+    bit for bit; ``rows == 2`` is one distinct pair per class."""
+    g = np.random.default_rng(100 * seed + dim)
+    X = g.normal(size=(rows, dim))
+    X[g.random((rows, dim)) < 0.2] = 0.0  # ReLU ties and zero gradients
+    y = g.integers(0, 2, rows)
+    y[:2] = [0, 1]
+    w = g.integers(1, 5, rows).astype(float)
+    assert_bit_equal_fit(X, y, w / w.sum(), seed)
+
+
+def test_flat_fit_matches_per_layer_reference_on_hospital(ctx, hospital_tiny):
+    mats = featurize_pdf(ctx, hospital_tiny.dirty)
+    for a in hospital_tiny.attrs:
+        X = mats[a]
+        y = hospital_tiny.error_mask[a].to_numpy().astype(int)
+        y[::7] = 1  # both classes in every pool
+        positions = list(range(0, len(X), 2))
+        pairs = training_pairs(X, distinct_rows(X)[0], positions, list(y[::2]), X[[1, 3]])
+        for seed in (0, 4):
+            assert_bit_equal_fit(*pairs, seed)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets.registry import load_dataset
 from repro.exp.paper_numbers import PAPER_TABLE2
 from repro.exp.tables import TABLES
 
@@ -50,3 +51,13 @@ def test_render_reproduces_committed_experiments_md():
     out = _run(["jobs/render_experiments.py"], **NO_SPARK)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout == (ROOT / "EXPERIMENTS.md").read_bytes()
+
+
+def test_stats_scale_measures_full_width_tax(spark):
+    from jobs.stats_scale import main, measure
+
+    out = measure(spark, 300)
+    assert (out["n"], out["attrs"]) == (300, len(load_dataset("tax", n=300, seed=0).attrs))
+    assert out["seconds"] > 0 and out["pair_keys"] > 0
+    assert out["peak_rss_mb_after"] >= out["peak_rss_mb_before"] and out["rss_rise_mb"] >= 0
+    assert main(["20k"]) == 2

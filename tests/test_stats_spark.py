@@ -1,21 +1,27 @@
 """Spark statistics tests, oracle-checked against DuckDB.
 
-Every aggregate the feature layer consumes (value counts, joint counts)
-is verified by running the equivalent SQL in DuckDB over the same input
-via ``repro.oracle.assert_equivalent`` — a wrong shuffle/groupBy would be
-caught here, not just "it ran".
+The Spark aggregate (each distinct tuple's count) is verified by running
+the equivalent ``GROUP BY`` in DuckDB over the same input via
+``repro.oracle.assert_equivalent``, and every count dictionary the feature
+layer consumes (value counts, joint counts) against DuckDB's ``GROUP BY``
+over its attributes — a wrong shuffle/groupBy or a wrong driver-side sum
+would be caught here, not just "it ran". ``collect_stats`` is also checked
+against the per-pair ``stack`` query it replaced, kept here as the
+reference.
 """
 import duckdb
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines.nadeef import violating_groups
+from repro.datasets.registry import PROFILES, load_dataset
 from repro.features.criteria import is_missing
 from repro.features.patterns import PATTERN_LEVELS
 from repro.features.stats import (
+    DatasetStats,
     collect_stats,
-    pair_counts_sdf,
     robust_sd,
+    tuple_counts_sdf,
     weighted_median,
 )
 from repro.oracle import assert_equivalent
@@ -32,34 +38,116 @@ def oracle_partitions(spark):
     spark.conf.set("spark.sql.shuffle.partitions", previous)
 
 
-@pytest.mark.parametrize("attr", ATTRS)
-def test_value_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf, attr):
-    spark_counts = (
-        pair_counts_sdf(hospital_sdf, hospital_tiny.attrs)
-        .where((F.col("a1") == attr) & (F.col("a2") == attr))
-        .select(F.col("v1").alias("value"), F.col("count").alias("cnt"))
-    )
+@pytest.fixture(scope="module")
+def oracle_stats(spark, hospital_tiny, hospital_sdf):
+    """``collect_stats`` over hospital at the conftest's default shuffle width."""
+    previous = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "64")
+    try:
+        return collect_stats(hospital_sdf, hospital_tiny.attrs)
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", previous)
+
+
+def duckdb_rows(sql: str, t: pd.DataFrame) -> list[tuple]:
+    con = duckdb.connect()
+    try:
+        con.register("t", t)
+        return con.execute(sql).fetchall()
+    finally:
+        con.close()
+
+
+def test_tuple_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf):
+    attrs = hospital_tiny.attrs
+    select = ", ".join(f'"{a}" AS v{i}' for i, a in enumerate(attrs))
     assert_equivalent(
-        spark_counts,
-        f'SELECT "{attr}" AS value, count(*) AS cnt FROM t GROUP BY "{attr}"',
+        tuple_counts_sdf(hospital_sdf, attrs),
+        f"SELECT {select}, count(*) AS count FROM t GROUP BY ALL",
         t=hospital_tiny.dirty,
     )
+
+
+@pytest.mark.parametrize("attr", ATTRS)
+def test_value_counts_match_duckdb(oracle_stats, hospital_tiny, attr):
+    expected = duckdb_rows(f'SELECT "{attr}", count(*) FROM t GROUP BY "{attr}"', hospital_tiny.dirty)
+    assert oracle_stats.value_counts[attr] == dict(expected)
 
 
 @pytest.mark.parametrize("pair", [("city", "state"), ("condition", "measure_code")])
-def test_joint_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf, pair):
+def test_joint_counts_match_duckdb(oracle_stats, hospital_tiny, pair):
     a1, a2 = sorted(pair, key=hospital_tiny.attrs.index)
-    spark_counts = (
-        pair_counts_sdf(hospital_sdf, hospital_tiny.attrs)
-        .where((F.col("a1") == a1) & (F.col("a2") == a2))
-        .select("v1", "v2", F.col("count").alias("cnt"))
+    expected = duckdb_rows(
+        f'SELECT "{a1}", "{a2}", count(*) FROM t GROUP BY "{a1}", "{a2}"', hospital_tiny.dirty
     )
-    assert_equivalent(
-        spark_counts,
-        f'SELECT "{a1}" AS v1, "{a2}" AS v2, count(*) AS cnt '
-        f'FROM t GROUP BY "{a1}", "{a2}"',
-        t=hospital_tiny.dirty,
+    assert oracle_stats.joint[(a1, a2)] == {(v1, v2): c for v1, v2, c in expected}
+
+
+def _sql_string(text: str) -> str:
+    return "'" + text.replace("\\", "\\\\").replace("'", "\\'") + "'"
+
+
+def _sql_column(name: str) -> str:
+    return "`" + name.replace("`", "``") + "`"
+
+
+def reference_stats(sdf, attrs: list[str]) -> DatasetStats:
+    """The per-pair form: a SQL ``stack`` of every attribute pair's values
+    (a1 <= a2), one ``groupBy`` count, and the sorted rows filling the
+    dictionaries."""
+    pairs = [(a1, a2) for i, a1 in enumerate(attrs) for a2 in attrs[i:]]
+    args = ", ".join(
+        f"{_sql_string(a1)}, {_sql_string(a2)}, "
+        f"string({_sql_column(a1)}), string({_sql_column(a2)})"
+        for a1, a2 in pairs
     )
+    counts = sdf.selectExpr(f"stack({len(pairs)}, {args}) as (a1, a2, v1, v2)").groupBy(
+        "a1", "a2", "v1", "v2"
+    ).count()
+    value_counts: dict[str, dict[str, int]] = {a: {} for a in attrs}
+    joint: dict[tuple[str, str], dict[tuple[str, str], int]] = {}
+    for a1, a2, v1, v2, cnt in sorted(counts.collect()):
+        if a1 == a2:
+            value_counts[a1][v1] = cnt
+        else:
+            joint.setdefault((a1, a2), {})[(v1, v2)] = cnt
+    n = sum(value_counts[attrs[0]].values())
+    return DatasetStats(n=n, attrs=attrs, value_counts=value_counts, joint=joint)
+
+
+def assert_same_stats(got: DatasetStats, ref: DatasetStats) -> None:
+    """Equal contents, and every dictionary in the same order."""
+    assert got == ref
+    assert list(got.value_counts) == list(ref.value_counts)
+    for a in ref.value_counts:
+        assert list(got.value_counts[a].items()) == list(ref.value_counts[a].items()), a
+    assert list(got.joint) == list(ref.joint)
+    for pair in ref.joint:
+        assert list(got.joint[pair].items()) == list(ref.joint[pair].items()), pair
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_collect_stats_matches_per_pair_reference(spark, oracle_partitions, name):
+    ds = load_dataset(name, n=60, seed=1)
+    sdf = ds.dirty_spark(spark)
+    assert_same_stats(collect_stats(sdf, ds.attrs), reference_stats(sdf, ds.attrs))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        pd.DataFrame({"a": ["x"], "b": [""], "c": ["1.5"]}),
+        pd.DataFrame({"a": ["x", "y", "x", "z"], "empty": ["", "", "", ""], "b": ["1", "2", "1", "1"]}),
+        pd.DataFrame({"a.b": ["p", "q", "p"], "x`y": ["1", "1", "2"], "count": ["c", "c", "d"]}),
+    ],
+    ids=["single-row", "all-empty-attribute", "dotted-and-backtick-names"],
+)
+def test_collect_stats_degenerate_tables_match_reference(spark, oracle_partitions, table):
+    sdf = spark.createDataFrame(table)
+    attrs = list(table.columns)
+    stats = collect_stats(sdf, attrs)
+    assert_same_stats(stats, reference_stats(sdf, attrs))
+    assert stats.n == len(table)
 
 
 @pytest.mark.parametrize("dataset", ["hospital_tiny", "flights_tiny"])
