@@ -119,7 +119,7 @@ def _run_baseline(method: str, spark, ds, stats, seed: int):
     if method == "Katara":
         return katara.detect(ds)
     if method == "ActiveClean":
-        return activeclean.detect(spark, ds, seed=seed)
+        return activeclean.detect(ds, seed=seed)
     if method == "Raha":
         return raha.detect(ds, stats, seed=seed)
     if method == "FM_ED":

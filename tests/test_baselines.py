@@ -1,4 +1,6 @@
 """Tests for the six baseline reimplementations."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,19 +114,48 @@ def test_katara_zero_without_kb(flights_tiny):
 # -------------------------------------------------------------- ActiveClean
 
 
-def test_activeclean_tuple_granularity(spark, flights_tiny):
-    mask = activeclean.detect(spark, flights_tiny, seed=0)
+def test_activeclean_tuple_granularity(flights_tiny):
+    mask = activeclean.detect(flights_tiny, seed=0)
     _shape_ok(mask, flights_tiny)
     # flags are tuple-level: each row is all-true or all-false
     per_row = mask.to_numpy().sum(axis=1)
     assert set(per_row) <= {0, len(flights_tiny.attrs)}
 
 
-def test_activeclean_high_recall_low_precision_on_dirty_data(spark, flights_tiny):
-    mask = activeclean.detect(spark, flights_tiny, seed=0)
+def test_activeclean_high_recall_low_precision_on_dirty_data(flights_tiny):
+    mask = activeclean.detect(flights_tiny, seed=0)
     m = prf(mask, flights_tiny.error_mask)
     assert m["rec"] > 0.6
     assert m["prec"] < 0.6
+
+
+def _activeclean_on(ds, dirty, clean):
+    """ActiveClean's mask on ``ds`` with its tables replaced, checked for
+    shape and tuple-level flags; returns the per-tuple flags."""
+    sub = dataclasses.replace(ds, dirty=dirty, clean=clean, error_types=None)
+    mask = activeclean.detect(sub, seed=0)
+    _shape_ok(mask, sub)
+    flags = mask.to_numpy()
+    assert (flags == flags[:, :1]).all()
+    return flags[:, 0]
+
+
+@pytest.mark.parametrize("blank_first", [False, True], ids=["as_is", "first_tuple_all_empty"])
+def test_activeclean_fewer_tuples_than_budget(hospital_tiny, blank_first):
+    n = 12
+    assert n < activeclean.LABEL_BUDGET
+    dirty, clean = hospital_tiny.dirty.iloc[:n].copy(), hospital_tiny.clean.iloc[:n]
+    if blank_first:
+        dirty.iloc[0] = ""
+    assert dirty.ne(clean).any(axis=1).nunique() == 2  # the fit runs
+    _activeclean_on(hospital_tiny, dirty, clean)
+
+
+def test_activeclean_single_class_budget(flights_tiny):
+    dirty = flights_tiny.dirty
+    assert not _activeclean_on(flights_tiny, dirty, dirty.copy()).any()
+    every_tuple_dirty = dirty.assign(**{dirty.columns[0]: dirty.iloc[:, 0] + "#"})
+    assert _activeclean_on(flights_tiny, dirty, every_tuple_dirty).all()
 
 
 # --------------------------------------------------------------------- Raha

@@ -6,7 +6,7 @@ imports IPython: about 530 modules and 24 MB more driver RSS, a 19% rise in
 a Flights run's peak RSS. The run path therefore states its Spark work as
 SQL strings (``selectExpr``, ``groupBy("a1", ...)``). This test keeps the
 modules on that path from importing ``pyspark.sql.functions`` or ``Column``,
-and importing the harness from loading MLlib.
+and the harness, ActiveClean's fit included, from loading MLlib.
 """
 import ast
 import os
@@ -63,9 +63,15 @@ def test_detector_flags_column_imports():
 
 
 def test_harness_import_loads_no_mllib():
-    """Importing the harness leaves ``pyspark.ml`` unloaded: only ActiveClean
-    uses MLlib, and it imports it when it runs."""
-    code = "import sys, repro.exp.tables; print('pyspark.ml' in sys.modules)"
+    """Importing the harness and running ActiveClean leave ``pyspark.ml``
+    unloaded: no baseline uses MLlib."""
+    code = (
+        "import sys, repro.exp.tables\n"
+        "from repro.baselines import activeclean\n"
+        "from repro.datasets.registry import load_dataset\n"
+        "activeclean.detect(load_dataset('hospital', n=40, seed=0))\n"
+        "print('pyspark.ml' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"

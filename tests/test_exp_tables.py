@@ -1,9 +1,12 @@
 """Tests for the experiment harnesses (fast paths only)."""
 import pytest
 
+from repro.core.zeroed import ZeroEDRunner
 from repro.datasets.registry import PROFILES
 from repro.exp import paper_numbers as paper
-from repro.exp.tables import format_rows, repro_config, table2_rows, table3_rows
+from repro.exp.tables import (
+    BASELINES, SHUFFLE_PARTITIONS, _run_baseline, format_rows, repro_config, table2_rows, table3_rows,
+)
 
 
 def test_table2_rows_match_profiles():
@@ -46,3 +49,20 @@ def test_table3_single_method(spark):
     assert len(rows) == 1
     assert rows[0]["method"] == "Katara"
     assert 0 <= rows[0]["f1"] <= 1
+
+
+def test_baselines_start_no_spark_job_after_stats(spark, flights_tiny):
+    """Table III runs the baselines on the ZeroED runner's stats: past that
+    pass, no baseline starts a Spark job."""
+    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
+    runner = ZeroEDRunner(spark, flights_tiny)
+    stats = runner.stats
+    sc = spark.sparkContext
+    group = "table3-baselines-after-stats"
+    sc.setJobGroup(group, "the Table III baselines past the stats pass", False)
+    try:
+        for method in BASELINES:
+            _run_baseline(method, spark, flights_tiny, stats, 0)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
