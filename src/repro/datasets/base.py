@@ -4,7 +4,9 @@ A :class:`Dataset` carries the dirty and clean versions of a table (all
 cells normalized to strings, missing = ``""``), plus the side metadata the
 *baselines* consume: functional dependencies (NADEEF/Katara/RV injection),
 per-attribute regex patterns (NADEEF), a knowledge base (Katara), and which
-attributes are numeric (dBoost, outlier injection).
+attributes are numeric (perfbench's ``make_dataset`` reads it, and outlier
+injection reads the same list from the schema metadata; dBoost finds
+numeric attributes through ``DatasetStats.numeric_summary``).
 
 ZeroED itself never reads the metadata or the clean table — only the dirty
 table. The clean table is used exclusively by the evaluation metrics and by

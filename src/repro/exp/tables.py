@@ -28,8 +28,9 @@ from repro.exp import paper_numbers as paper
 REPRO_N = 300
 TABLE5_N = 250
 TOKEN_SIZES = (500, 1000, 2000)
-# Shuffle width of the harnesses' Spark sessions: the tables are a few
-# thousand rows at most, so the default 200 partitions are mostly empty.
+# Shuffle width of the sessions ``get_spark`` builds for ``jobs/``: the
+# tables are a few thousand rows at most, so the default 200 partitions
+# are mostly empty.
 SHUFFLE_PARTITIONS = "8"
 
 # Scale substitution: the paper labels 5 % of 1 000–7 390 tuples, i.e.
@@ -55,12 +56,6 @@ def get_spark(app: str) -> SparkSession:
     )
     spark.sparkContext.setLogLevel("ERROR")
     return spark
-
-
-def _tune_spark(spark: SparkSession) -> None:
-    """Small-data settings for the harnesses (restored values don't matter
-    for correctness — only shuffle width)."""
-    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
 
 
 def _measured_vs_paper(m: dict, pp: tuple | None) -> dict:
@@ -135,7 +130,6 @@ def table3_rows(
     seed: int = 0,
 ) -> list[dict]:
     """P/R/F1 of every method on every dataset (paper Table III)."""
-    _tune_spark(spark)
     methods = methods or BASELINES + ["ZeroED"]
     rows = []
     for name in datasets:
@@ -178,7 +172,6 @@ def _sweep(
     runner's stage cache computes the stages the variants share once per
     dataset.
     """
-    _tune_spark(spark)
     rows = []
     for name in datasets:
         runner = ZeroEDRunner(spark, load_dataset(name, n=n, seed=seed))
@@ -230,7 +223,6 @@ def token_cost_rows(spark: SparkSession, seed: int = 0) -> list[dict]:
     study, and the paper's budget rule (clusters = size × rate) is what
     produces its sublinear growth.
     """
-    _tune_spark(spark)
     rows = []
     for n in TOKEN_SIZES:
         ds = load_dataset("tax", n=n, seed=seed)

@@ -1,7 +1,26 @@
 """Tests for NMI attribute correlation."""
+from collections import Counter
+
 import pytest
 
-from repro.features.correlation import entropy, nmi, nmi_matrix, top_related
+from repro.features.correlation import MAX_DISTINCT_RATIO, entropy, nmi, nmi_matrix, top_related
+from repro.features.stats import DatasetStats
+
+
+def stats_of(columns: dict[str, list[str]]) -> DatasetStats:
+    """The value and joint counts of ``columns``, keyed as ``collect_stats`` keys
+    them, without Spark."""
+    attrs = list(columns)
+    joint = {
+        (a, b): dict(Counter(zip(columns[a], columns[b])))
+        for i, a in enumerate(attrs) for b in attrs[i + 1:]
+    }
+    return DatasetStats(
+        n=len(columns[attrs[0]]),
+        attrs=attrs,
+        value_counts={a: dict(Counter(columns[a])) for a in attrs},
+        joint=joint,
+    )
 
 
 def test_entropy_uniform_vs_constant():
@@ -51,3 +70,39 @@ def test_top_related_zero(hospital_stats):
 def test_top_related_picks_dependency_partner(hospital_stats):
     # measure_name is determined by measure_code; it must rank top-2
     assert "measure_code" in top_related(hospital_stats, 2)["measure_name"]
+
+
+def test_top_related_skips_near_key_context():
+    """A unique id ranks above an unrelated attribute by NMI (0.68 vs 0 for
+    city) but is never picked as context; city's FD partner is."""
+    n = 20
+    stats = stats_of({
+        "id": [f"r{i}" for i in range(n)],
+        "city": [f"c{i % 4}" for i in range(n)],
+        "state": [f"s{i % 4}" for i in range(n)],
+        "noise": [f"n{i % 5}" for i in range(n)],
+    })
+    assert len(stats.value_counts["id"]) / n > MAX_DISTINCT_RATIO
+    assert nmi(stats, "city", "id") > nmi(stats, "city", "noise")
+    rel = top_related(stats, 3)
+    assert rel["city"] == ["state", "noise"]
+    assert rel["id"] == ["noise", "city", "state"]
+    assert all("id" not in rel[a] for a in ("city", "state", "noise"))
+
+
+def test_top_related_all_near_key_falls_back_to_nmi_order():
+    n = 8
+    stats = stats_of({
+        "id": [f"r{i}" for i in range(n)],
+        "code": [f"c{i % 6}" for i in range(n)],
+        "grp": [f"g{i % 5}" for i in range(n)],
+    })
+    assert all(len(vc) / n > MAX_DISTINCT_RATIO for vc in stats.value_counts.values())
+    assert top_related(stats, 2) == {
+        "id": ["code", "grp"], "code": ["id", "grp"], "grp": ["id", "code"],
+    }
+
+
+def test_top_related_single_attribute():
+    stats = stats_of({"a": ["x", "y", "x"]})
+    assert top_related(stats, 2) == {"a": []}

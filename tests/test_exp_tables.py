@@ -5,7 +5,7 @@ from repro.core.zeroed import ZeroEDRunner
 from repro.datasets.registry import PROFILES
 from repro.exp import paper_numbers as paper
 from repro.exp.tables import (
-    BASELINES, SHUFFLE_PARTITIONS, _run_baseline, format_rows, repro_config, table2_rows, table3_rows,
+    BASELINES, _run_baseline, format_rows, repro_config, table2_rows, table3_rows,
 )
 
 
@@ -45,7 +45,16 @@ def test_format_rows_renders():
 
 @pytest.mark.slow
 def test_table3_single_method(spark):
-    rows = table3_rows(spark, datasets=["hospital"], methods=["Katara"])
+    """The harness runs on the session it is given: it leaves the caller's
+    shuffle width as it found it."""
+    key = "spark.sql.shuffle.partitions"
+    previous = spark.conf.get(key)
+    spark.conf.set(key, "13")
+    try:
+        rows = table3_rows(spark, datasets=["hospital"], methods=["Katara"])
+        assert spark.conf.get(key) == "13"
+    finally:
+        spark.conf.set(key, previous)
     assert len(rows) == 1
     assert rows[0]["method"] == "Katara"
     assert 0 <= rows[0]["f1"] <= 1
@@ -54,7 +63,6 @@ def test_table3_single_method(spark):
 def test_baselines_start_no_spark_job_after_stats(spark, flights_tiny):
     """Table III runs the baselines on the ZeroED runner's stats: past that
     pass, no baseline starts a Spark job."""
-    spark.conf.set("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
     runner = ZeroEDRunner(spark, flights_tiny)
     stats = runner.stats
     sc = spark.sparkContext

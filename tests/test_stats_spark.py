@@ -31,7 +31,8 @@ ATTRS = ["city", "state", "measure_code", "score", "sample"]
 
 @pytest.fixture
 def oracle_partitions(spark):
-    """The conftest's default shuffle width (64), which session fixtures lower to 8."""
+    """The conftest's default shuffle width (64), also under a
+    ``SPARK_SHUFFLE_PARTITIONS`` override."""
     previous = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "64")
     yield
