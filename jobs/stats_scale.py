@@ -5,11 +5,11 @@ From the repository root, with ``src/`` importable (``PYTHONPATH=src``):
     python -m jobs.stats_scale [n]
 
 Starts a ``local[1]`` Spark session, warms it up with one pass over a
-200-row table, then builds the ZeroED runner's frame over Tax with every
-attribute (``n`` tuples, default 20000, data seed 0) and runs
-:func:`~repro.features.stats.collect_stats` on it once. Prints one JSON
-object: the pass's wall seconds, the driver's peak RSS before and after it,
-and the rise, in MB. The JVM is another process and is not counted.
+200-row table, then runs :func:`~repro.features.stats.collect_stats` once
+over Tax with every attribute (``n`` tuples, default 20000, data seed 0).
+Prints one JSON object: the pass's wall seconds, building the Spark frame
+from the table included, the driver's peak RSS before and after it, and
+the rise, in MB. The JVM is another process and is not counted.
 """
 import json
 import resource
@@ -33,12 +33,11 @@ def measure(spark: SparkSession, n: int) -> dict:
     """One ``collect_stats`` over full-width Tax at ``n`` tuples, after a
     warm-up pass at :data:`WARMUP_N`."""
     warm = load_dataset("tax", n=WARMUP_N, seed=1)
-    collect_stats(spark.createDataFrame(warm.dirty), warm.attrs)
+    collect_stats(spark, warm.dirty)
     ds = load_dataset("tax", n=n, seed=0)
-    sdf = spark.createDataFrame(ds.dirty)
     before = _peak_rss_mb()
     start = time.perf_counter()
-    stats = collect_stats(sdf, ds.attrs)
+    stats = collect_stats(spark, ds.dirty)
     seconds = time.perf_counter() - start
     after = _peak_rss_mb()
     return {

@@ -104,7 +104,6 @@ class ZeroEDRunner:
     def __init__(self, spark: SparkSession, dataset: Dataset):
         self.spark = spark
         self.ds = dataset
-        self.sdf = spark.createDataFrame(dataset.dirty)
         self._cache: dict = {}
 
     @property
@@ -150,7 +149,7 @@ class ZeroEDRunner:
         return value
 
     def _build_stats(self, c, read):
-        return collect_stats(self.sdf, self.ds.attrs)
+        return collect_stats(self.spark, self.ds.dirty)
 
     def _build_related(self, c, read):
         return top_related(read("stats"), N_RELATED if c.use_correlated else 0)

@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-
-ROW_ID = "__row_id"
 
 
 @dataclass
@@ -69,12 +66,6 @@ class Dataset:
         for t in ("MV", "T", "PV", "O", "RV"):
             out[t] = float((flat == t).sum()) / n
         return out
-
-    def dirty_spark(self, spark: SparkSession) -> DataFrame:
-        """Dirty table as a Spark DataFrame with a stable ``__row_id`` column."""
-        pdf = self.dirty.copy()
-        pdf.insert(0, ROW_ID, range(len(pdf)))
-        return spark.createDataFrame(pdf)
 
 
 def stringify(pdf: pd.DataFrame) -> pd.DataFrame:

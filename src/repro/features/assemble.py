@@ -42,7 +42,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.datasets.base import ROW_ID
 from repro.features.criteria import Criterion, evaluate_table, factorize
 from repro.features.embedding import EMB_DIM, embed_value
 from repro.features.patterns import PATTERN_LEVELS
@@ -164,6 +163,10 @@ def featurize_pdf(
             np.multiply(blocks[q], RELATED_WEIGHT, out=X[:, start:end])
         mats[a] = X
     return mats
+
+
+# The row-position column features_sdf carries from its input to its output.
+ROW_ID = "__row_id"
 
 
 def features_sdf(sdf: DataFrame, ctx: FeatureContext) -> DataFrame:

@@ -10,23 +10,26 @@ distinct tuples::
 computed in the JVM by one ``groupBy(<every attribute>).count()`` shuffle
 (:func:`tuple_counts_sdf`), so the pass starts no Python worker and the
 collected result has one row per distinct tuple, however many attribute
-pairs the statistics read. On the driver, :func:`collect_stats` sums the
-tuple counts into each attribute's value counts and each attribute pair's
-joint counts, as exact integer sums. Everything else (pattern counts,
-null counts, numeric summaries) is a pure function of value counts and is
-derived on the driver. Cardinalities are bounded by the (small) table
-sizes of the paper's benchmarks, so collecting the distinct tuples is
-cheap; the raw-data pass stays in Spark and is oracle-checked against
-DuckDB. Each dictionary is filled in sorted key order, so the
-dictionaries' order, and the prompts rendered from it, do not depend on
-the Spark plan or its partitioning.
+pairs the statistics read. The pass is ZeroED's one Spark boundary: it
+takes the driver-held table, and this module alone builds the Spark frame
+from it and names its columns there. On the driver, :func:`collect_stats`
+sums the tuple counts into each attribute's value counts and each
+attribute pair's joint counts, as exact integer sums. Everything else
+(pattern counts, null counts, numeric summaries) is a pure function of
+value counts and is derived on the driver. Cardinalities are bounded by
+the (small) table sizes of the paper's benchmarks, so collecting the
+distinct tuples is cheap; the raw-data pass stays in Spark and is
+oracle-checked against DuckDB. Each dictionary is filled in sorted key
+order, so the dictionaries' order, and the prompts rendered from it, do
+not depend on the Spark plan or its partitioning.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark.sql import DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.features.criteria import is_missing, try_float
 from repro.features.patterns import PATTERN_LEVELS
@@ -45,16 +48,15 @@ def robust_sd(median: float, mad: float) -> float:
     return sd if sd > 0 else max(1.0, abs(median) * 0.05)
 
 
-def tuple_counts_sdf(sdf: DataFrame, attrs: list[str]) -> DataFrame:
-    """Each distinct tuple of the string columns ``attrs`` and its count:
-    ``(v0, ..., v<k-1>, count)``, ``v<i>`` holding ``attrs[i]``'s value.
+def tuple_counts_sdf(spark: SparkSession, table: pd.DataFrame) -> DataFrame:
+    """Each distinct tuple of the string table ``table`` and its count:
+    ``(v0, ..., v<k-1>, count)``, ``v<i>`` holding column ``i``'s value.
 
-    The columns are renamed by position before grouping, so an attribute
-    name is never parsed: ``a.b`` is not read as a struct field.
+    The frame is built under these positional names, so an attribute name
+    is never parsed: ``a.b`` is not read as a struct field.
     """
-    names = {a: f"v{i}" for i, a in enumerate(attrs)}
-    renamed = sdf.toDF(*[names.get(c, f"_{j}") for j, c in enumerate(sdf.columns)])
-    return renamed.groupBy(*names.values()).count()
+    names = [f"v{i}" for i in range(table.shape[1])]
+    return spark.createDataFrame(table, schema=names).groupBy(*names).count()
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,10 +154,11 @@ class DatasetStats:
         return out
 
 
-def collect_stats(sdf: DataFrame, attrs: list[str]) -> DatasetStats:
-    """Run the Spark aggregation pass over ``attrs`` and collect into a
-    :class:`DatasetStats`."""
-    rows = tuple_counts_sdf(sdf, attrs).collect()
+def collect_stats(spark: SparkSession, table: pd.DataFrame) -> DatasetStats:
+    """Run the Spark aggregation pass over the string table ``table`` and
+    collect into a :class:`DatasetStats` over its columns."""
+    attrs = list(table.columns)
+    rows = tuple_counts_sdf(spark, table).collect()
     counts = np.array([r[-1] for r in rows], dtype=np.int64)
     # each attribute's distinct values, sorted, and each tuple's rank among
     # them: ascending ranks, and ascending rank pairs, are sorted values and

@@ -24,24 +24,17 @@ def flights_tiny():
 
 
 @pytest.fixture(scope="session")
-def hospital_sdf(spark, hospital_tiny):
-    sdf = hospital_tiny.dirty_spark(spark).cache()
-    sdf.count()
-    return sdf
-
-
-@pytest.fixture(scope="session")
-def hospital_stats(hospital_sdf, hospital_tiny):
+def hospital_stats(spark, hospital_tiny):
     from repro.features.stats import collect_stats
 
-    return collect_stats(hospital_sdf, hospital_tiny.attrs)
+    return collect_stats(spark, hospital_tiny.dirty)
 
 
 @pytest.fixture(scope="session")
 def flights_stats(spark, flights_tiny):
     from repro.features.stats import collect_stats
 
-    return collect_stats(flights_tiny.dirty_spark(spark), flights_tiny.attrs)
+    return collect_stats(spark, flights_tiny.dirty)
 
 
 @pytest.fixture(scope="session")

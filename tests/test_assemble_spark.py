@@ -3,9 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.datasets.base import ROW_ID
 from repro.features.assemble import (
     RELATED_WEIGHT,
+    ROW_ID,
     build_context,
     collect_feature_matrices,
     distinct_rows,
@@ -87,6 +87,14 @@ def derived_ctx(hospital_stats, hospital_tiny):
     samples = hospital_tiny.dirty.sample(40, random_state=0).to_dict("records")
     criteria = {a: derive_criteria(llm, a, samples, related[a]) for a in hospital_stats.attrs}
     return build_context(hospital_stats, related, criteria)
+
+
+@pytest.fixture(scope="module")
+def hospital_sdf(spark, hospital_tiny):
+    """The dirty table as a Spark frame with a ``ROW_ID`` column of row positions."""
+    pdf = hospital_tiny.dirty.copy()
+    pdf.insert(0, ROW_ID, range(len(pdf)))
+    return spark.createDataFrame(pdf)
 
 
 def test_spark_matches_driver_featurization(hospital_sdf, derived_ctx, hospital_tiny):

@@ -86,7 +86,7 @@ def test_nadeef_clean_dataset_mostly_unflagged(spark, hospital_tiny):
         name="clean", dirty=hospital_tiny.clean.copy(), clean=hospital_tiny.clean.copy(),
         fds=hospital_tiny.fds, patterns=hospital_tiny.patterns,
     )
-    clean_stats = collect_stats(clean_ds.dirty_spark(spark), clean_ds.attrs)
+    clean_stats = collect_stats(spark, clean_ds.dirty)
     mask = nadeef.detect(clean_ds, clean_stats)
     assert mask.to_numpy().mean() < 0.02
 

@@ -94,12 +94,6 @@ def test_load_dataset_unknown():
         load_dataset("nope", n=10)
 
 
-def test_dataset_dirty_spark_rowids(spark, hospital_tiny):
-    sdf = hospital_tiny.dirty_spark(spark)
-    rows = sdf.select("__row_id").toPandas()["__row_id"]
-    assert sorted(rows) == list(range(len(hospital_tiny.dirty)))
-
-
 def test_stringify_handles_nan_and_numbers():
     pdf = pd.DataFrame({"a": [1.0, None, 2.5], "b": ["x", float("nan"), "y"]})
     out = stringify(pdf)

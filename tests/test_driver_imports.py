@@ -6,7 +6,8 @@ imports IPython: about 530 modules and 24 MB more driver RSS, a 19% rise in
 a Flights run's peak RSS. The run path therefore states its Spark work as
 SQL strings (``selectExpr``, ``groupBy("a1", ...)``). This test keeps the
 modules on that path from importing ``pyspark.sql.functions`` or ``Column``,
-and the harness, ActiveClean's fit included, from loading MLlib.
+the harness, ActiveClean's fit included, from loading MLlib, and dataset
+generation from loading pyspark at all.
 """
 import ast
 import os
@@ -62,6 +63,14 @@ def test_detector_flags_column_imports():
     ]
 
 
+def python_stdout(code: str) -> str:
+    """The stripped stdout of ``code`` run in a fresh interpreter that imports
+    ``repro`` from ``src/``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_harness_import_loads_no_mllib():
     """Importing the harness and running ActiveClean leave ``pyspark.ml``
     unloaded: no baseline uses MLlib."""
@@ -72,6 +81,16 @@ def test_harness_import_loads_no_mllib():
         "activeclean.detect(load_dataset('hospital', n=40, seed=0))\n"
         "print('pyspark.ml' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert python_stdout(code) == "False"
+
+
+def test_dataset_generation_loads_no_pyspark():
+    """Generating a dataset loads no pyspark: only the statistics pass
+    takes a table into Spark."""
+    code = (
+        "import sys\n"
+        "from repro.datasets.registry import load_dataset\n"
+        "load_dataset('hospital', n=40, seed=0)\n"
+        "print('pyspark' in sys.modules)"
+    )
+    assert python_stdout(code) == "False"

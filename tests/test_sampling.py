@@ -53,7 +53,7 @@ def test_random_representatives_members():
         assert res.assignments[rep] == c
 
 
-def test_kmeans_clustering_spark(spark, hospital_sdf, hospital_tiny, hospital_stats):
+def test_kmeans_clustering_spark(hospital_tiny, hospital_stats):
     from repro.features.assemble import build_context, collect_feature_matrices
     from repro.features.correlation import top_related
 

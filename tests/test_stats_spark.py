@@ -40,12 +40,12 @@ def oracle_partitions(spark):
 
 
 @pytest.fixture(scope="module")
-def oracle_stats(spark, hospital_tiny, hospital_sdf):
+def oracle_stats(spark, hospital_tiny):
     """``collect_stats`` over hospital at the conftest's default shuffle width."""
     previous = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "64")
     try:
-        return collect_stats(hospital_sdf, hospital_tiny.attrs)
+        return collect_stats(spark, hospital_tiny.dirty)
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", previous)
 
@@ -59,11 +59,11 @@ def duckdb_rows(sql: str, t: pd.DataFrame) -> list[tuple]:
         con.close()
 
 
-def test_tuple_counts_match_duckdb(spark, oracle_partitions, hospital_tiny, hospital_sdf):
+def test_tuple_counts_match_duckdb(spark, oracle_partitions, hospital_tiny):
     attrs = hospital_tiny.attrs
     select = ", ".join(f'"{a}" AS v{i}' for i, a in enumerate(attrs))
     assert_equivalent(
-        tuple_counts_sdf(hospital_sdf, attrs),
+        tuple_counts_sdf(spark, hospital_tiny.dirty),
         f"SELECT {select}, count(*) AS count FROM t GROUP BY ALL",
         t=hospital_tiny.dirty,
     )
@@ -130,8 +130,8 @@ def assert_same_stats(got: DatasetStats, ref: DatasetStats) -> None:
 @pytest.mark.parametrize("name", sorted(PROFILES))
 def test_collect_stats_matches_per_pair_reference(spark, oracle_partitions, name):
     ds = load_dataset(name, n=60, seed=1)
-    sdf = ds.dirty_spark(spark)
-    assert_same_stats(collect_stats(sdf, ds.attrs), reference_stats(sdf, ds.attrs))
+    reference = reference_stats(spark.createDataFrame(ds.dirty), ds.attrs)
+    assert_same_stats(collect_stats(spark, ds.dirty), reference)
 
 
 @pytest.mark.parametrize(
@@ -144,10 +144,8 @@ def test_collect_stats_matches_per_pair_reference(spark, oracle_partitions, name
     ids=["single-row", "all-empty-attribute", "dotted-and-backtick-names"],
 )
 def test_collect_stats_degenerate_tables_match_reference(spark, oracle_partitions, table):
-    sdf = spark.createDataFrame(table)
-    attrs = list(table.columns)
-    stats = collect_stats(sdf, attrs)
-    assert_same_stats(stats, reference_stats(sdf, attrs))
+    stats = collect_stats(spark, table)
+    assert_same_stats(stats, reference_stats(spark.createDataFrame(table), list(table.columns)))
     assert stats.n == len(table)
 
 
@@ -156,7 +154,7 @@ def test_fd_violating_groups_match_duckdb(spark, oracle_partitions, request, dat
     """The lhs groups NADEEF flags, read off the joint counts, are the ones
     an lhs ``GROUP BY`` with more than one distinct rhs finds."""
     ds = request.getfixturevalue(dataset)
-    stats = collect_stats(ds.dirty_spark(spark), ds.attrs)
+    stats = collect_stats(spark, ds.dirty)
     con = duckdb.connect()
     try:
         con.register("t", ds.dirty)

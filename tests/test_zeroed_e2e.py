@@ -2,6 +2,7 @@
 import dataclasses
 
 import pytest
+from pyspark.sql import SparkSession
 
 import repro.core.zeroed as zeroed
 from repro.core.zeroed import STAGES, ZeroEDConfig, ZeroEDRunner, ablation_configs
@@ -160,17 +161,23 @@ def test_detector_convergence_recorded(hospital_result, hospital_tiny):
             assert fit["loss"] is None
 
 
-def test_stats_order_and_usage_independent_of_partitioning(spark, flights_tiny):
+def test_stats_order_and_usage_independent_of_partitioning(spark, flights_tiny, monkeypatch):
     """Prompts render the stats dictionaries in order, so the order (and with
     it the token count) must not depend on the input's partitioning or the
     shuffle's."""
     previous = spark.conf.get("spark.sql.shuffle.partitions")
-    seen = []
+    create = SparkSession.createDataFrame
+    built, seen = [], []
     try:
         for parts, shuffle in ((1, 1), (4, 8)):
             spark.conf.set("spark.sql.shuffle.partitions", str(shuffle))
+
+            def create_repartitioned(self, *args, parts=parts, **kwargs):
+                built.append(parts)
+                return create(self, *args, **kwargs).repartition(parts)
+
+            monkeypatch.setattr(SparkSession, "createDataFrame", create_repartitioned)
             runner = ZeroEDRunner(spark, flights_tiny)
-            runner.sdf = runner.sdf.repartition(parts)
             stats = runner.stats
             order = (
                 [(a, list(vc.items())) for a, vc in stats.value_counts.items()],
@@ -180,6 +187,8 @@ def test_stats_order_and_usage_independent_of_partitioning(spark, flights_tiny):
             seen.append((order, (u.prompt_tokens, u.completion_tokens, u.calls, u.by_purpose)))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", previous)
+    # each run's one frame was built under its partitioning
+    assert built == [1, 4]
     assert seen[0] == seen[1]
 
 
