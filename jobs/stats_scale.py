@@ -19,7 +19,6 @@ import time
 from pyspark.sql import SparkSession
 
 from repro.datasets.registry import load_dataset
-from repro.exp.tables import SHUFFLE_PARTITIONS
 from repro.features.stats import collect_stats
 
 WARMUP_N = 200
@@ -59,7 +58,7 @@ def main(argv: list[str]) -> int:
     spark = (
         SparkSession.builder.master("local[1]")
         .appName("stats_scale")
-        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.datasets.base import Dataset
+from repro.datasets.base import Dataset, records
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import fm_ed_prompt
 from repro.llm.reasoning import tuple_local_judgment
@@ -32,9 +32,9 @@ def detect(
 ) -> tuple[pd.DataFrame, Usage]:
     llm = SimulatedLLM(seed=seed)
     flip = min(0.45, llm.tier.flip * 1.5)  # context-free judgments are noisier
-    records = ds.dirty.to_dict("records")
+    rows = records(ds.dirty)
     mask = pd.DataFrame(False, index=ds.dirty.index, columns=ds.attrs)
-    for i, row in enumerate(records):
+    for i, row in enumerate(rows):
         def _judge(i=i, row=row) -> list[str]:
             answers = []
             for a in ds.attrs:

@@ -35,7 +35,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.metrics import prf
-from repro.datasets.base import Dataset
+from repro.datasets.base import Dataset, records
 from repro.features.assemble import build_context, collect_feature_matrices
 # features_sdf is off the run path; perfbench/spans.py still traces the name.
 from repro.features.assemble import features_sdf  # noqa: F401
@@ -157,7 +157,7 @@ class ZeroEDRunner:
     def _build_samples(self, c, read) -> list[dict]:
         g = np.random.default_rng(c.seed + 7)
         idx = g.choice(len(self.ds.dirty), min(N_PROMPT_SAMPLES, len(self.ds.dirty)), replace=False)
-        return self.ds.dirty.iloc[sorted(idx)].to_dict("records")
+        return records(self.ds.dirty.iloc[sorted(idx)])
 
     def _build_criteria(self, c, read):
         related, samples = read("related"), read("samples")

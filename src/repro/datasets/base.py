@@ -68,6 +68,17 @@ class Dataset:
         return out
 
 
+def records(table: pd.DataFrame) -> list[dict]:
+    """``table.to_dict("records")``: one dict per row, keys in column order.
+
+    Built from each column's ``tolist()``, which converts a column at once,
+    where ``to_dict`` boxes every cell on its own.
+    """
+    cols = list(table.columns)
+    columns = (table.iloc[:, i].tolist() for i in range(len(cols)))
+    return [dict(zip(cols, row)) for row in zip(*columns)]
+
+
 def stringify(pdf: pd.DataFrame) -> pd.DataFrame:
     """Normalize every cell to a string; NaN/None become the empty string."""
     out = pdf.copy()

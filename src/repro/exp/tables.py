@@ -28,10 +28,6 @@ from repro.exp import paper_numbers as paper
 REPRO_N = 300
 TABLE5_N = 250
 TOKEN_SIZES = (500, 1000, 2000)
-# Shuffle width of the sessions ``get_spark`` builds for ``jobs/``: the
-# tables are a few thousand rows at most, so the default 200 partitions
-# are mostly empty.
-SHUFFLE_PARTITIONS = "8"
 
 # Scale substitution: the paper labels 5 % of 1 000–7 390 tuples, i.e.
 # ~50–370 representatives per attribute. At repro scale (300 tuples) the
@@ -50,7 +46,7 @@ def get_spark(app: str) -> SparkSession:
     """A quiet SparkSession for the ``jobs/`` entry points."""
     spark = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", SHUFFLE_PARTITIONS)
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -7,21 +7,23 @@ distinct tuples::
 
     (v_1, ..., v_k) -> count
 
-computed in the JVM by one ``groupBy(<every attribute>).count()`` shuffle
-(:func:`tuple_counts_sdf`), so the pass starts no Python worker and the
-collected result has one row per distinct tuple, however many attribute
-pairs the statistics read. The pass is ZeroED's one Spark boundary: it
-takes the driver-held table, and this module alone builds the Spark frame
-from it and names its columns there. On the driver, :func:`collect_stats`
-sums the tuple counts into each attribute's value counts and each
-attribute pair's joint counts, as exact integer sums. Everything else
-(pattern counts, null counts, numeric summaries) is a pure function of
-value counts and is derived on the driver. Cardinalities are bounded by
-the (small) table sizes of the paper's benchmarks, so collecting the
-distinct tuples is cheap; the raw-data pass stays in Spark and is
-oracle-checked against DuckDB. Each dictionary is filled in sorted key
-order, so the dictionaries' order, and the prompts rendered from it, do
-not depend on the Spark plan or its partitioning.
+computed in the JVM by one ``groupBy(<every attribute>).count()`` over the
+frame coalesced to one partition (:func:`tuple_counts_sdf`): one Spark
+stage with no exchange, whatever the session's shuffle width. With Arrow on
+the pass starts no Python worker, and the collected result has one row per
+distinct tuple, however many attribute pairs the statistics read. The pass
+is ZeroED's one Spark boundary: it takes the driver-held table, and this
+module alone builds the Spark frame from it and names its columns there.
+On the driver, :func:`collect_stats` sums the tuple counts into each
+attribute's value counts and each attribute pair's joint counts, as exact
+integer sums. Everything else (pattern counts, null counts, numeric
+summaries) is a pure function of value counts and is derived on the
+driver. Cardinalities are bounded by the (small) table sizes of the
+paper's benchmarks, so collecting the distinct tuples is cheap; the
+raw-data pass stays in Spark and is oracle-checked against DuckDB. Each
+dictionary is filled in sorted key order, so the dictionaries' order, and
+the prompts rendered from it, do not depend on the Spark plan or its
+partitioning.
 """
 from __future__ import annotations
 
@@ -53,10 +55,14 @@ def tuple_counts_sdf(spark: SparkSession, table: pd.DataFrame) -> DataFrame:
     ``(v0, ..., v<k-1>, count)``, ``v<i>`` holding column ``i``'s value.
 
     The frame is built under these positional names, so an attribute name
-    is never parsed: ``a.b`` is not read as a struct field.
+    is never parsed: ``a.b`` is not read as a struct field. It is coalesced
+    to one partition before the ``groupBy``, which that single partition
+    already satisfies: the plan is scan, coalesce, partial and final
+    aggregate, one stage of one task with no exchange.
     """
     names = [f"v{i}" for i in range(table.shape[1])]
-    return spark.createDataFrame(table, schema=names).groupBy(*names).count()
+    frame = spark.createDataFrame(table, schema=names).coalesce(1)
+    return frame.groupBy(*names).count()
 
 
 def _sum_by(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro.datasets.base import records
 from repro.llm.model import SimulatedLLM
 from repro.llm.prompts import labeling_prompt
 from repro.llm.reasoning import Guideline, guideline_judgment, tuple_local_judgment
@@ -43,7 +44,7 @@ def label_representatives(
     gtext = guideline.text if guideline is not None else "(no guideline)"
     for start in range(0, len(rep_positions), BATCH_SIZE):
         batch = rep_positions[start: start + BATCH_SIZE]
-        rows = dirty.iloc[batch][cols].to_dict("records")
+        rows = records(dirty.iloc[batch][cols])
         prompt = labeling_prompt(attr, gtext, rows)
 
         def _judge() -> list[int]:

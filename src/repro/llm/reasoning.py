@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro.datasets.base import records
 from repro.features.criteria import Criterion, is_missing, try_float
 from repro.features.patterns import l2_pattern, l3_shape
 from repro.features.stats import robust_sd
@@ -434,7 +435,7 @@ def augment_errors(
     n = len(values)
     srcs = [int(llm.uniform("aug_src", attr, i) * n) % n for i in range(n_needed)]
     copied = sorted(set(srcs))
-    src_rows = dict(zip(copied, clean.iloc[copied].to_dict("records")))
+    src_rows = dict(zip(copied, records(clean.iloc[copied])))
 
     def _corrupt(i: int) -> dict:
         row = dict(src_rows[srcs[i]])

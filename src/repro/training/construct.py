@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.datasets.base import records
 from repro.features.criteria import Criterion, evaluate_table
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, refine_criteria
@@ -90,7 +91,7 @@ def construct_training_data(
         clean_positions = [p for p, l in propagated.items() if l == 0]
         # subsample for the LLM context and criterion verification cost
         step = max(1, len(clean_positions) // VERIFY_SAMPLE)
-        clean_rows = dirty.iloc[clean_positions[::step]].to_dict("records")
+        clean_rows = records(dirty.iloc[clean_positions[::step]])
         refined = refine_criteria(llm, attr, err_vals, cln_vals, clean_rows, related)
         passes, applicable = evaluate_table(refined, dirty.iloc[clean_positions])
         passes &= applicable

@@ -4,7 +4,7 @@ import re
 import pandas as pd
 import pytest
 
-from repro.datasets.base import Dataset, stringify
+from repro.datasets.base import Dataset, records, stringify
 from repro.datasets.registry import PROFILES, TABLE3_DATASETS, load_dataset
 from repro.datasets.schemas import GENERATORS
 
@@ -92,6 +92,29 @@ def test_expected_error_types_present(name):
 def test_load_dataset_unknown():
     with pytest.raises(KeyError):
         load_dataset("nope", n=10)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_records_match_to_dict(name):
+    """``records`` builds what ``to_dict("records")`` builds: equal dicts,
+    keys in the same order, values of the same types, for row selections out
+    of order, repeated and empty, and for a reordered column subset such as
+    the labeler passes."""
+    dirty = load_dataset(name, n=60, seed=0).dirty
+    attrs = list(dirty.columns)
+    tables = [
+        dirty,
+        dirty.iloc[[41, 3, 17, 3, 59, 0]],
+        dirty.iloc[[]],
+        dirty.iloc[[7, 2, 7, 30]][[attrs[3], attrs[0], attrs[-1]]],
+    ]
+    for table in tables:
+        got, want = records(table), table.to_dict("records")
+        assert got == want
+        assert [list(r) for r in got] == [list(r) for r in want]
+        assert [[type(v) for v in r.values()] for r in got] == [
+            [type(v) for v in r.values()] for r in want
+        ]
 
 
 def test_stringify_handles_nan_and_numbers():

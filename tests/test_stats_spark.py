@@ -9,6 +9,8 @@ would be caught here, not just "it ran". ``collect_stats`` is also checked
 against the per-pair ``stack`` query it replaced, kept here as the
 reference.
 """
+import uuid
+
 import duckdb
 import pandas as pd
 import pytest
@@ -147,6 +149,34 @@ def test_collect_stats_degenerate_tables_match_reference(spark, oracle_partition
     stats = collect_stats(spark, table)
     assert_same_stats(stats, reference_stats(spark.createDataFrame(table), list(table.columns)))
     assert stats.n == len(table)
+
+
+def test_stats_pass_is_one_job_of_one_stage(spark, hospital_tiny):
+    """The pass is one Spark job of one stage: its frame is coalesced to one
+    partition, which the ``groupBy`` already satisfies, so no exchange splits
+    it, however many partitions the input and the shuffle width have."""
+    sc = spark.sparkContext
+    settings = {"spark.sql.leafNodeDefaultParallelism": "4", "spark.sql.shuffle.partitions": "64"}
+    previous = {k: spark.conf.get(k, None) for k in settings}
+    group = f"stats-one-stage-{uuid.uuid4().hex}"
+    try:
+        for k, v in settings.items():
+            spark.conf.set(k, v)
+        # the driver-held table is scanned in 4 partitions, without a shuffle
+        assert spark.createDataFrame(hospital_tiny.dirty).rdd.getNumPartitions() == 4
+        sc.setJobGroup(group, "the stats pass over a 4-partition scan", False)
+        collect_stats(spark, hospital_tiny.dirty)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        for k, v in previous.items():
+            if v is None:
+                spark.conf.unset(k)
+            else:
+                spark.conf.set(k, v)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup(group)
+    assert len(jobs) == 1
+    assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
 
 
 @pytest.mark.parametrize("dataset", ["hospital_tiny", "flights_tiny"])

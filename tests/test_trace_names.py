@@ -34,8 +34,7 @@ def test_traced_names_are_zeroed_module_functions(monkeypatch):
 def test_traced_run_reports_the_counters_the_benchmark_reads(spark, hospital_tiny, monkeypatch):
     spans = _load_spans(monkeypatch)
     tracer = spans.Tracer(spark.sparkContext)
-    # The benchmark pins adaptive execution off; with it on, the stats pass's
-    # shuffle map stage runs as a job of its own.
+    # The benchmark pins adaptive execution off, and this run does the same.
     previous = spark.conf.get("spark.sql.adaptive.enabled")
     spark.conf.set("spark.sql.adaptive.enabled", "false")
     try:
