@@ -14,6 +14,7 @@ grows linearly with dataset size in Fig. 8.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -33,20 +34,17 @@ def detect(
     llm = SimulatedLLM(seed=seed)
     flip = min(0.45, llm.tier.flip * 1.5)  # context-free judgments are noisier
     rows = records(ds.dirty)
-    mask = pd.DataFrame(False, index=ds.dirty.index, columns=ds.attrs)
+    flags = np.zeros((len(rows), len(ds.attrs)), dtype=bool)
     for i, row in enumerate(rows):
-        def _judge(i=i, row=row) -> list[str]:
-            answers = []
-            for a in ds.attrs:
-                raw = tuple_local_judgment(a, row[a])
-                if llm._hash01("fm_flip", i, a) < flip:
-                    if not raw and llm.flip_direction_is_fp("fm", i, a):
-                        raw = True
-                    elif raw and not llm.flip_direction_is_fp("fm", i, a):
-                        raw = False
-                mask.iat[i, mask.columns.get_loc(a)] = raw
-                answers.append(f"{a}: {'yes' if raw else 'no'}")
-            return answers
-
-        llm.complete(fm_ed_prompt(row), _judge, "fm_ed")
-    return mask, llm.usage
+        answers = []
+        for j, a in enumerate(ds.attrs):
+            raw = tuple_local_judgment(a, row[a])
+            if llm._hash01("fm_flip", i, a) < flip:
+                if not raw and llm.flip_direction_is_fp("fm", i, a):
+                    raw = True
+                elif raw and not llm.flip_direction_is_fp("fm", i, a):
+                    raw = False
+            flags[i, j] = raw
+            answers.append(f"{a}: {'yes' if raw else 'no'}")
+        llm.complete(fm_ed_prompt(row), answers, "fm_ed")
+    return pd.DataFrame(flags, index=ds.dirty.index, columns=ds.attrs), llm.usage

@@ -164,7 +164,7 @@ class ZeroEDRunner:
         return {
             a: c.llm.complete(
                 criteria_prompt(a, samples),
-                lambda a=a: derive_criteria(c.llm, a, samples, related[a]),
+                derive_criteria(c.llm, a, samples, related[a]),
                 "criteria",
             )
             for a in self.ds.attrs

@@ -200,12 +200,15 @@ def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``X[first][codes]`` is ``X`` bit for bit.
 
     Rows are compared by their bytes, so ``-0.0`` and ``0.0`` make two
-    distinct rows: a value-equal merge could swap one for the other. Only
-    the distinct rows' bytes are held, one copy each.
+    distinct rows: a value-equal merge could swap one for the other. One
+    sort of the rows, each viewed as a single opaque item, groups them.
     """
     X = np.ascontiguousarray(X)
-    row_bytes = X.view(np.uint8).reshape(len(X), X.dtype.itemsize * X.shape[1])
-    codes, _ = factorize(map(bytes, row_bytes), len(X))
-    # codes count up in first-occurrence order: a row is a first occurrence
-    # exactly where the running maximum of the codes steps up
-    return codes, np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique numbers the distinct rows in byte order: renumber them in
+    # order of first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]

@@ -45,19 +45,14 @@ def label_representatives(
     for start in range(0, len(rep_positions), BATCH_SIZE):
         batch = rep_positions[start: start + BATCH_SIZE]
         rows = records(dirty.iloc[batch][cols])
-        prompt = labeling_prompt(attr, gtext, rows)
-
-        def _judge() -> list[int]:
-            out = []
-            for i, r in zip(batch, rows):
-                v = r[attr]
-                if guideline is not None:
-                    raw = int(guideline_judgment(guideline, v, r))
-                else:
-                    raw = int(tuple_local_judgment(attr, v))
-                out.append(_noisy(llm, attr, i, raw))
-            return out
-
-        batch_labels = llm.complete(prompt, _judge, "labeling")
-        labels.update(dict(zip(batch, batch_labels)))
+        batch_labels = []
+        for i, r in zip(batch, rows):
+            v = r[attr]
+            if guideline is not None:
+                raw = int(guideline_judgment(guideline, v, r))
+            else:
+                raw = int(tuple_local_judgment(attr, v))
+            batch_labels.append(_noisy(llm, attr, i, raw))
+        llm.complete(labeling_prompt(attr, gtext, rows), batch_labels, "labeling")
+        labels.update(zip(batch, batch_labels))
     return labels

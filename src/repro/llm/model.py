@@ -1,10 +1,11 @@
 """Deterministic simulated LLM with quality tiers (paper Table V models).
 
-Every call renders a real prompt string and a real response string (both
-charged to :class:`~repro.llm.tokens.Usage`), then produces its structured
-output with a deterministic rule-induction engine
-(:mod:`repro.llm.reasoning`). The engine sees only what a real LLM would:
-serialized sample tuples and distribution reports — never ground truth.
+A deterministic rule-induction engine (:mod:`repro.llm.reasoning`)
+produces each call's structured response. The call charges the rendered
+prompt and that response, rendered to text, to
+:class:`~repro.llm.tokens.Usage`. The engine sees only what a real LLM
+would: serialized sample tuples and distribution reports — never ground
+truth.
 
 Tiers model the paper's observed quality ordering (Qwen2.5-72b best,
 GPT-4o-mini worst / precision-poor) through three knobs:
@@ -47,9 +48,9 @@ TIERS: dict[str, Tier] = {
 class SimulatedLLM:
     """Offline stand-in for the paper's LLM endpoint.
 
-    ``complete(prompt, responder, purpose)`` charges the prompt, invokes
-    the deterministic ``responder`` for the structured result, renders it
-    to text for completion-token accounting, and returns it.
+    ``complete(prompt, response, purpose)`` charges the prompt and the
+    structured ``response`` (rendered to text only to count its completion
+    tokens) and returns the response.
     """
 
     def __init__(self, model: str = "qwen2.5-72b", seed: int = 0):
@@ -80,14 +81,13 @@ class SimulatedLLM:
         return options[int(self._hash01("c", *key) * len(options)) % len(options)]
 
     # -------------------------------------------------------------- call
-    def complete(self, prompt: str, responder, purpose: str):
-        result = responder()
-        self.usage.charge(prompt, _render(result), purpose)
-        return result
+    def complete(self, prompt: str, response, purpose: str):
+        self.usage.charge(prompt, _render(response), purpose)
+        return response
 
 
 def _render(result) -> str:
-    """Render a structured responder result as LLM-output text for tokens."""
+    """Render a structured response as LLM-output text for tokens."""
     if result is None:
         return ""
     if isinstance(result, str):

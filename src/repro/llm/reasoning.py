@@ -221,7 +221,7 @@ def generate_analysis_functions(
     """Step 1 of guideline generation: pick analysis functions to run."""
     return llm.complete(
         analysis_fn_prompt(attr, sample_rows),
-        lambda: list(ANALYSIS_KINDS[: llm.tier.breadth]),
+        ANALYSIS_KINDS[: llm.tier.breadth],
         "analysis_functions",
     )
 
@@ -265,65 +265,64 @@ def build_guideline(
     every run-length pattern near-unique); and per related attribute, a
     dependency check holding a value to its group's majority.
     """
-
-    def _build() -> Guideline:
-        n = summary["n"]
-        vc: dict[str, int] = summary["value_counts"]
-        pc: dict[str, int] = summary["pattern_counts_l2"]
-        sc: dict[str, int] = summary.get("shape_counts", {})
-        rare_pattern_cut = max(1, int(0.008 * n))
-        checks: list[Criterion] = []
-        notes: list[str] = []
-        num = summary.get("numeric")
-        numeric = bool(num) and num["frac"] >= NUMERIC_SHARE
-        if numeric:
-            sd = num["robust_sd"]
-            lo, hi = num["median"] - 5.0 * sd, num["median"] + 5.0 * sd
-            checks.append(Criterion(attr, "range", f"{attr} must be within the numeric range",
-                                    {"lo": lo, "hi": hi}))
-            notes.append(f"Numeric range: [{lo:.2f}, {hi:.2f}].")
-        if sc:
-            common = {s for s, c in sc.items() if c / max(1, n) >= RARE_SHAPE_SHARE}
-            checks.append(Criterion(attr, "pattern", f"{attr} character shape must not be rare",
-                                    {"level": "shape3", "patterns": common}))
-        if pc and n and max(pc.values()) / n >= STRUCTURED_L2_SHARE:
-            common = {p for p, c in pc.items() if c > rare_pattern_cut}
-            checks.append(Criterion(attr, "pattern", f"{attr} format must not be rare",
-                                    {"level": "l2", "patterns": common}))
-        if len(vc) / max(1, n) <= 0.3 and not numeric:
-            rare_value_cut = 1 if n < 400 else max(1, int(0.003 * n))
-            domain = {v for v, c in vc.items() if c > rare_value_cut}
-            checks.append(Criterion(attr, "domain", f"{attr} must be a known domain value",
-                                    {"values": domain}))
-            notes.append(f"Closed domain of {len(domain)} known values.")
-        for other, groups in summary.get("dep_mappings", {}).items():
-            # 0.6 purity keeps dependency checks alive on very dirty data
-            # (34% error rate leaves FD groups only ~2/3 pure) while still
-            # rejecting genuinely non-functional relations
-            mapping = {
-                lhs: {majority}
-                for lhs, (majority, purity, size) in groups.items()
-                if size >= 3 and purity >= 0.6
-            }
-            checks.append(Criterion(attr, "dependency", f"{attr} must match its {other} group",
-                                    {"other": other, "mapping": mapping}))
-            notes.append(f"Depends on '{other}' ({len(groups)} group majorities known).")
-        top_vals = sorted(vc.items(), key=lambda kv: -kv[1])[:8]
-        top_pats = sorted(pc.items(), key=lambda kv: -kv[1])[:5]
-        text = "\n".join([
-            f"Guideline for attribute '{attr}' ({n} values).",
-            f"Common values: {top_vals}. Common formats: {top_pats}.",
-            f"Rare-shape share cut: {RARE_SHAPE_SHARE}; "
-            f"rare-format cut: <= {rare_pattern_cut} occurrences.",
-            *notes,
-            "Detect: missing placeholders; typos (near-miss of known words); "
-            "rare-format pattern violations; numeric outliers; values "
-            "contradicting their group majority under a dependency.",
-        ])
-        return Guideline(attr, text, checks)
-
-    report = _summary_report(summary)
-    return llm.complete(guideline_prompt(attr, report, sample_rows), _build, "guideline")
+    n = summary["n"]
+    vc: dict[str, int] = summary["value_counts"]
+    pc: dict[str, int] = summary["pattern_counts_l2"]
+    sc: dict[str, int] = summary.get("shape_counts", {})
+    rare_pattern_cut = max(1, int(0.008 * n))
+    checks: list[Criterion] = []
+    notes: list[str] = []
+    num = summary.get("numeric")
+    numeric = bool(num) and num["frac"] >= NUMERIC_SHARE
+    if numeric:
+        sd = num["robust_sd"]
+        lo, hi = num["median"] - 5.0 * sd, num["median"] + 5.0 * sd
+        checks.append(Criterion(attr, "range", f"{attr} must be within the numeric range",
+                                {"lo": lo, "hi": hi}))
+        notes.append(f"Numeric range: [{lo:.2f}, {hi:.2f}].")
+    if sc:
+        common = {s for s, c in sc.items() if c / max(1, n) >= RARE_SHAPE_SHARE}
+        checks.append(Criterion(attr, "pattern", f"{attr} character shape must not be rare",
+                                {"level": "shape3", "patterns": common}))
+    if pc and n and max(pc.values()) / n >= STRUCTURED_L2_SHARE:
+        common = {p for p, c in pc.items() if c > rare_pattern_cut}
+        checks.append(Criterion(attr, "pattern", f"{attr} format must not be rare",
+                                {"level": "l2", "patterns": common}))
+    if len(vc) / max(1, n) <= 0.3 and not numeric:
+        rare_value_cut = 1 if n < 400 else max(1, int(0.003 * n))
+        domain = {v for v, c in vc.items() if c > rare_value_cut}
+        checks.append(Criterion(attr, "domain", f"{attr} must be a known domain value",
+                                {"values": domain}))
+        notes.append(f"Closed domain of {len(domain)} known values.")
+    for other, groups in summary.get("dep_mappings", {}).items():
+        # 0.6 purity keeps dependency checks alive on very dirty data
+        # (34% error rate leaves FD groups only ~2/3 pure) while still
+        # rejecting genuinely non-functional relations
+        mapping = {
+            lhs: {majority}
+            for lhs, (majority, purity, size) in groups.items()
+            if size >= 3 and purity >= 0.6
+        }
+        checks.append(Criterion(attr, "dependency", f"{attr} must match its {other} group",
+                                {"other": other, "mapping": mapping}))
+        notes.append(f"Depends on '{other}' ({len(groups)} group majorities known).")
+    top_vals = sorted(vc.items(), key=lambda kv: -kv[1])[:8]
+    top_pats = sorted(pc.items(), key=lambda kv: -kv[1])[:5]
+    text = "\n".join([
+        f"Guideline for attribute '{attr}' ({n} values).",
+        f"Common values: {top_vals}. Common formats: {top_pats}.",
+        f"Rare-shape share cut: {RARE_SHAPE_SHARE}; "
+        f"rare-format cut: <= {rare_pattern_cut} occurrences.",
+        *notes,
+        "Detect: missing placeholders; typos (near-miss of known words); "
+        "rare-format pattern violations; numeric outliers; values "
+        "contradicting their group majority under a dependency.",
+    ])
+    return llm.complete(
+        guideline_prompt(attr, _summary_report(summary), sample_rows),
+        Guideline(attr, text, checks),
+        "guideline",
+    )
 
 
 def _summary_report(summary: dict) -> str:
@@ -370,19 +369,15 @@ def refine_criteria(
     clean group instead of the initial random sample, and keeps dependency
     mappings learned from clean rows only.
     """
-
-    def _build() -> list[Criterion]:
-        vals = _nonmissing(clean_values)
-        tier = llm.tier
-        crits: list[Criterion] = [
-            Criterion(attr, "not_missing", f"{attr} must not be missing (refined)")
-        ]
-        if not vals:
-            return crits
+    vals = _nonmissing(clean_values)
+    crits: list[Criterion] = [
+        Criterion(attr, "not_missing", f"{attr} must not be missing (refined)")
+    ]
+    if vals:
         crits.append(_pattern_criterion(attr, vals, " (refined)"))
         floats = [x for v in vals if (x := try_float(v)) is not None]
         if len(floats) >= NUMERIC_SHARE * len(vals):
-            lo, hi = _robust_range(floats, max(tier.sigma, 3.0))
+            lo, hi = _robust_range(floats, max(llm.tier.sigma, 3.0))
             crits.append(
                 Criterion(attr, "range", f"{attr} refined range check",
                           {"lo": lo, "hi": hi})
@@ -401,10 +396,8 @@ def refine_criteria(
             )
             if dep is not None:
                 crits.append(dep)
-        return crits
-
     return llm.complete(
-        contrastive_prompt(attr, error_values, clean_values), _build, "contrastive"
+        contrastive_prompt(attr, error_values, clean_values), crits, "contrastive"
     )
 
 
@@ -468,7 +461,7 @@ def augment_errors(
     # text, not the full synthetic rows we assemble around them locally
     llm.complete(
         augmentation_prompt(attr, values, n_needed),
-        lambda: [r[attr] for r in rows],
+        [r[attr] for r in rows],
         "augmentation",
     )
     return rows

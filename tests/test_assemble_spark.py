@@ -13,7 +13,7 @@ from repro.features.assemble import (
     featurize_pdf,
 )
 from repro.features.correlation import top_related
-from repro.features.criteria import Criterion
+from repro.features.criteria import Criterion, factorize
 from repro.features.embedding import EMB_DIM, embed_value
 from repro.llm.model import SimulatedLLM
 from repro.llm.reasoning import augment_errors, derive_criteria
@@ -215,3 +215,31 @@ def test_distinct_rows_matches_sort_reference():
         assert np.array_equal(first, ref_first), name
         assert codes.dtype == ref_codes.dtype and first.dtype == ref_first.dtype, name
     assert len(distinct_rows(matrices["signed zeros"])[1]) == len(twins)
+
+
+def dict_reference(X):
+    """``distinct_rows`` by hashing: a dict numbers each row's bytes in
+    first-occurrence order, and a row is a first occurrence where the
+    running maximum of the codes steps up."""
+    X = np.ascontiguousarray(X)
+    row_bytes = X.view(np.uint8).reshape(len(X), X.dtype.itemsize * X.shape[1])
+    codes, _ = factorize(map(bytes, row_bytes), len(X))
+    return codes, np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+
+
+def test_distinct_rows_matches_dict_reference(feats):
+    """Equal codes and first positions on every Hospital feature matrix, on
+    rows told apart only by a zero's sign or a NaN, and on no rows."""
+    zeros_nan = np.array([[0.0, np.nan], [-0.0, np.nan], [0.0, 1.0], [-0.0, 1.0], [np.nan, 0.0]])
+    g = np.random.default_rng(2)
+    matrices = {
+        **{f"hospital {a}": m for a, m in feats[1].items()},
+        "signed zeros and NaN": zeros_nan[g.integers(0, len(zeros_nan), 40)],
+        "empty": np.empty((0, 3)),
+    }
+    for name, M in matrices.items():
+        codes, first = distinct_rows(M)
+        ref_codes, ref_first = dict_reference(M)
+        assert np.array_equal(codes, ref_codes), name
+        assert np.array_equal(first, ref_first), name
+    assert len(distinct_rows(matrices["signed zeros and NaN"])[1]) == len(zeros_nan)

@@ -1,8 +1,10 @@
 """Tests for the simulated LLM core (tiers, noise, accounting)."""
 import pytest
 
+from repro.features.criteria import Criterion
 from repro.llm.model import TIERS, SimulatedLLM, _render
 from repro.llm.reasoning import AnalysisFunction
+from repro.llm.tokens import count_tokens
 
 
 def test_all_paper_models_present():
@@ -41,11 +43,23 @@ def test_noise_depends_on_seed():
 
 def test_complete_charges_usage():
     llm = SimulatedLLM()
-    out = llm.complete("p" * 40, lambda: "c" * 8, "test")
+    out = llm.complete("p" * 40, "c" * 8, "test")
     assert out == "c" * 8
     assert llm.usage.prompt_tokens == 10
     assert llm.usage.completion_tokens == 2
     assert llm.usage.by_purpose["test"]["prompt"] == 10
+
+
+def test_complete_charges_structured_response_as_rendered_text():
+    llm = SimulatedLLM()
+    crits = [
+        Criterion("city", "not_missing", "city must not be missing"),
+        Criterion("zip", "length", "zip length in bounds", {"lo": 5, "hi": 5}),
+    ]
+    assert llm.complete("p" * 40, crits, "criteria") is crits
+    text = "\n".join(c.render() for c in crits)
+    assert llm.usage.completion_tokens == count_tokens(text) > 0
+    assert llm.usage.by_purpose["criteria"]["completion"] == count_tokens(text)
 
 
 def test_choice_in_options():

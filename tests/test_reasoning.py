@@ -15,6 +15,7 @@ from repro.llm.reasoning import (
     refine_criteria,
     tuple_local_judgment,
 )
+from repro.llm.tokens import count_tokens
 
 
 @pytest.fixture
@@ -230,6 +231,18 @@ def test_refine_criteria_min_support_excludes_singletons(llm):
     # the singleton wrong pair must NOT self-justify
     assert not dep[0].evaluate("WRONG", {"city": "austin"})
     assert dep[0].evaluate("tx", {"city": "austin"})
+
+
+def test_refine_only_missing_clean_values_charges_one_call(llm):
+    """With no non-missing clean value only ``not_missing`` is derived, and
+    the call is still charged once, as a contrastive call."""
+    crits = refine_criteria(
+        llm, "x", ["zz"], ["", "null", "n/a"], [{"x": "", "y": "a"}], ["y"]
+    )
+    assert [c.kind for c in crits] == ["not_missing"]
+    assert llm.usage.calls == 1
+    assert set(llm.usage.by_purpose) == {"contrastive"}
+    assert llm.usage.completion_tokens == count_tokens(crits[0].render())
 
 
 def test_refine_domain_contrast_drops_useless_domain(llm):
