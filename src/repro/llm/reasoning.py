@@ -365,9 +365,12 @@ def refine_criteria(
 ) -> list[Criterion]:
     """Algorithm 1 lines 4–7: contrastive in-context criteria refinement.
 
-    Rebuilds each criterion perspective from the (much larger) propagated
-    clean group instead of the initial random sample, and keeps dependency
-    mappings learned from clean rows only.
+    Rebuilds the pattern, range and domain perspectives from
+    ``clean_values``, the representatives labeled clean, instead of the
+    initial random sample; the domain check is dropped when most of
+    ``error_values``, the representatives labeled erroneous, fall inside it.
+    Dependency mappings are learned from ``clean_rows`` only, every
+    ``step``-th row of the propagated clean group.
     """
     vals = _nonmissing(clean_values)
     crits: list[Criterion] = [

@@ -31,27 +31,6 @@ from repro.oracle import assert_equivalent
 ATTRS = ["city", "state", "measure_code", "score", "sample"]
 
 
-@pytest.fixture
-def oracle_partitions(spark):
-    """The conftest's default shuffle width (64), also under a
-    ``SPARK_SHUFFLE_PARTITIONS`` override."""
-    previous = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "64")
-    yield
-    spark.conf.set("spark.sql.shuffle.partitions", previous)
-
-
-@pytest.fixture(scope="module")
-def oracle_stats(spark, hospital_tiny):
-    """``collect_stats`` over hospital at the conftest's default shuffle width."""
-    previous = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "64")
-    try:
-        return collect_stats(spark, hospital_tiny.dirty)
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", previous)
-
-
 def duckdb_rows(sql: str, t: pd.DataFrame) -> list[tuple]:
     con = duckdb.connect()
     try:
@@ -61,7 +40,7 @@ def duckdb_rows(sql: str, t: pd.DataFrame) -> list[tuple]:
         con.close()
 
 
-def test_tuple_counts_match_duckdb(spark, oracle_partitions, hospital_tiny):
+def test_tuple_counts_match_duckdb(spark, hospital_tiny):
     attrs = hospital_tiny.attrs
     select = ", ".join(f'"{a}" AS v{i}' for i, a in enumerate(attrs))
     assert_equivalent(
@@ -72,18 +51,18 @@ def test_tuple_counts_match_duckdb(spark, oracle_partitions, hospital_tiny):
 
 
 @pytest.mark.parametrize("attr", ATTRS)
-def test_value_counts_match_duckdb(oracle_stats, hospital_tiny, attr):
+def test_value_counts_match_duckdb(hospital_stats, hospital_tiny, attr):
     expected = duckdb_rows(f'SELECT "{attr}", count(*) FROM t GROUP BY "{attr}"', hospital_tiny.dirty)
-    assert oracle_stats.value_counts[attr] == dict(expected)
+    assert hospital_stats.value_counts[attr] == dict(expected)
 
 
 @pytest.mark.parametrize("pair", [("city", "state"), ("condition", "measure_code")])
-def test_joint_counts_match_duckdb(oracle_stats, hospital_tiny, pair):
+def test_joint_counts_match_duckdb(hospital_stats, hospital_tiny, pair):
     a1, a2 = sorted(pair, key=hospital_tiny.attrs.index)
     expected = duckdb_rows(
         f'SELECT "{a1}", "{a2}", count(*) FROM t GROUP BY "{a1}", "{a2}"', hospital_tiny.dirty
     )
-    assert oracle_stats.joint[(a1, a2)] == {(v1, v2): c for v1, v2, c in expected}
+    assert hospital_stats.joint[(a1, a2)] == {(v1, v2): c for v1, v2, c in expected}
 
 
 def _sql_string(text: str) -> str:
@@ -130,7 +109,7 @@ def assert_same_stats(got: DatasetStats, ref: DatasetStats) -> None:
 
 
 @pytest.mark.parametrize("name", sorted(PROFILES))
-def test_collect_stats_matches_per_pair_reference(spark, oracle_partitions, name):
+def test_collect_stats_matches_per_pair_reference(spark, name):
     ds = load_dataset(name, n=60, seed=1)
     reference = reference_stats(spark.createDataFrame(ds.dirty), ds.attrs)
     assert_same_stats(collect_stats(spark, ds.dirty), reference)
@@ -145,7 +124,7 @@ def test_collect_stats_matches_per_pair_reference(spark, oracle_partitions, name
     ],
     ids=["single-row", "all-empty-attribute", "dotted-and-backtick-names"],
 )
-def test_collect_stats_degenerate_tables_match_reference(spark, oracle_partitions, table):
+def test_collect_stats_degenerate_tables_match_reference(spark, table):
     stats = collect_stats(spark, table)
     assert_same_stats(stats, reference_stats(spark.createDataFrame(table), list(table.columns)))
     assert stats.n == len(table)
@@ -180,21 +159,16 @@ def test_stats_pass_is_one_job_of_one_stage(spark, hospital_tiny):
 
 
 @pytest.mark.parametrize("dataset", ["hospital_tiny", "flights_tiny"])
-def test_fd_violating_groups_match_duckdb(spark, oracle_partitions, request, dataset):
+def test_fd_violating_groups_match_duckdb(spark, request, dataset):
     """The lhs groups NADEEF flags, read off the joint counts, are the ones
     an lhs ``GROUP BY`` with more than one distinct rhs finds."""
     ds = request.getfixturevalue(dataset)
     stats = collect_stats(spark, ds.dirty)
-    con = duckdb.connect()
-    try:
-        con.register("t", ds.dirty)
-        for lhs, rhs in ds.fds:
-            expected = con.execute(
-                f'SELECT "{lhs}" FROM t GROUP BY "{lhs}" HAVING count(DISTINCT "{rhs}") > 1'
-            ).fetchall()
-            assert violating_groups(stats, lhs, rhs) == {v for (v,) in expected}, (lhs, rhs)
-    finally:
-        con.close()
+    for lhs, rhs in ds.fds:
+        expected = duckdb_rows(
+            f'SELECT "{lhs}" FROM t GROUP BY "{lhs}" HAVING count(DISTINCT "{rhs}") > 1', ds.dirty
+        )
+        assert violating_groups(stats, lhs, rhs) == {v for (v,) in expected}, (lhs, rhs)
 
 
 def test_stats_n(hospital_stats, hospital_tiny):

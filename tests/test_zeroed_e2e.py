@@ -140,6 +140,24 @@ def test_warm_runner_matches_cold_when_field_changes(
     _assert_same_result(hospital_runner.run(cfg), ZeroEDRunner(spark, hospital_tiny).run(cfg))
 
 
+def test_one_attribute_table_warm_matches_cold(spark, flights_tiny):
+    """On a one-attribute table every ``related`` set is empty; each Table IV
+    config on one runner still matches a fresh runner's result. ZeroED reads
+    only the dirty and clean tables of a dataset."""
+    ds = dataclasses.replace(
+        flights_tiny,
+        dirty=flights_tiny.dirty[["flight"]],
+        clean=flights_tiny.clean[["flight"]],
+        error_types=None,
+    )
+    runner = ZeroEDRunner(spark, ds)
+    assert runner._stage("related", ZeroEDConfig()) == {"flight": []}
+    for name, cfg in ablation_configs(ZeroEDConfig(label_rate=0.1)).items():
+        res = runner.run(cfg)
+        assert res.mask.shape == ds.dirty.shape, name
+        _assert_same_result(res, ZeroEDRunner(spark, ds).run(cfg))
+
+
 def test_stage_sees_only_what_it_declares(spark, hospital_tiny, monkeypatch):
     runner = ZeroEDRunner(spark, hospital_tiny)
     monkeypatch.setitem(STAGES, "samples", ((), ()))
