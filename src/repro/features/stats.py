@@ -82,8 +82,8 @@ class DatasetStats:
     attrs: list[str]
     value_counts: dict[str, dict[str, int]]
     joint: dict[tuple[str, str], dict[tuple[str, str], int]]
-    _pattern_cache: dict = field(default_factory=dict, repr=False)
-    _reversed_joint: dict = field(default_factory=dict, repr=False)
+    _pattern_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _reversed_joint: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------ derived
     def pattern_counts(self, attr: str, level: str) -> dict[str, int]:
@@ -151,7 +151,7 @@ class DatasetStats:
         """For each value of ``other``: (majority value of attr, purity, size)."""
         groups: dict[str, dict[str, int]] = {}
         for (ov, v), c in self.joint_counts(other, attr).items():
-            groups.setdefault(ov, {})[v] = groups.setdefault(ov, {}).get(v, 0) + c
+            groups.setdefault(ov, {})[v] = c
         out = {}
         for ov, dist in groups.items():
             size = sum(dist.values())

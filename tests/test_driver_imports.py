@@ -94,3 +94,18 @@ def test_dataset_generation_loads_no_pyspark():
         "print('pyspark' in sys.modules)"
     )
     assert python_stdout(code) == "False"
+
+
+def test_package_import_loads_no_duckdb():
+    """Importing every module under ``src/repro`` leaves ``duckdb``
+    unloaded: DuckDB is the tests' oracle, not a dependency of the package."""
+    names = sorted(
+        ".".join(("repro", *p.relative_to(SRC).with_suffix("").parts)).removesuffix(".__init__")
+        for p in SRC.rglob("*.py")
+    )
+    code = (
+        "import importlib, sys\n"
+        f"for m in {names!r}: importlib.import_module(m)\n"
+        "print('duckdb' in sys.modules)"
+    )
+    assert python_stdout(code) == "False"

@@ -1,13 +1,12 @@
 """Spark statistics tests, oracle-checked against DuckDB.
 
-The Spark aggregate (each distinct tuple's count) is verified by running
-the equivalent ``GROUP BY`` in DuckDB over the same input via
-``repro.oracle.assert_equivalent``, and every count dictionary the feature
-layer consumes (value counts, joint counts) against DuckDB's ``GROUP BY``
-over its attributes — a wrong shuffle/groupBy or a wrong driver-side sum
-would be caught here, not just "it ran". ``collect_stats`` is also checked
-against the per-pair ``stack`` query it replaced, kept here as the
-reference.
+The Spark aggregate (each distinct tuple's count) is verified against the
+equivalent ``GROUP BY`` in DuckDB over the same input, and every count
+dictionary the feature layer consumes (value counts, joint counts) against
+DuckDB's ``GROUP BY`` over its attributes, all through ``duckdb_rows`` — a
+wrong groupBy or a wrong driver-side sum would be caught here, not just "it
+ran". ``collect_stats`` is also checked against the per-pair ``stack`` query
+it replaced, kept here as the reference.
 """
 import uuid
 
@@ -26,7 +25,6 @@ from repro.features.stats import (
     tuple_counts_sdf,
     weighted_median,
 )
-from repro.oracle import assert_equivalent
 
 ATTRS = ["city", "state", "measure_code", "score", "sample"]
 
@@ -40,14 +38,23 @@ def duckdb_rows(sql: str, t: pd.DataFrame) -> list[tuple]:
         con.close()
 
 
+def assert_tuple_counts_match_duckdb(spark, table: pd.DataFrame) -> None:
+    """``tuple_counts_sdf`` names its columns ``v0, ..., count`` and holds
+    every distinct tuple of ``table`` with its count, as DuckDB's ``GROUP BY
+    ALL`` finds them."""
+    counts = tuple_counts_sdf(spark, table)
+    assert counts.columns == [f"v{i}" for i in range(table.shape[1])] + ["count"]
+    select = ", ".join(f'"{a}" AS v{i}' for i, a in enumerate(table.columns))
+    expected = duckdb_rows(f"SELECT {select}, count(*) AS count FROM t GROUP BY ALL", table)
+    assert sorted(map(tuple, counts.collect())) == sorted(expected)
+
+
 def test_tuple_counts_match_duckdb(spark, hospital_tiny):
-    attrs = hospital_tiny.attrs
-    select = ", ".join(f'"{a}" AS v{i}' for i, a in enumerate(attrs))
-    assert_equivalent(
-        tuple_counts_sdf(spark, hospital_tiny.dirty),
-        f"SELECT {select}, count(*) AS count FROM t GROUP BY ALL",
-        t=hospital_tiny.dirty,
-    )
+    """Every row of the full table is distinct, so it alone cannot show a
+    wrong count; its (city, state) projection repeats tuples and, with the
+    injected typos, maps some cities to more than one state."""
+    assert_tuple_counts_match_duckdb(spark, hospital_tiny.dirty)
+    assert_tuple_counts_match_duckdb(spark, hospital_tiny.dirty[["city", "state"]])
 
 
 @pytest.mark.parametrize("attr", ATTRS)
@@ -159,11 +166,11 @@ def test_stats_pass_is_one_job_of_one_stage(spark, hospital_tiny):
 
 
 @pytest.mark.parametrize("dataset", ["hospital_tiny", "flights_tiny"])
-def test_fd_violating_groups_match_duckdb(spark, request, dataset):
+def test_fd_violating_groups_match_duckdb(request, dataset):
     """The lhs groups NADEEF flags, read off the joint counts, are the ones
     an lhs ``GROUP BY`` with more than one distinct rhs finds."""
     ds = request.getfixturevalue(dataset)
-    stats = collect_stats(spark, ds.dirty)
+    stats = request.getfixturevalue(dataset.replace("_tiny", "_stats"))
     for lhs, rhs in ds.fds:
         expected = duckdb_rows(
             f'SELECT "{lhs}" FROM t GROUP BY "{lhs}" HAVING count(DISTINCT "{rhs}") > 1', ds.dirty
@@ -211,6 +218,20 @@ def test_joint_counts_symmetric_access(hospital_stats):
     # the reversed orientation is built once: repeated calls return one object
     assert hospital_stats.joint_counts("state", "city") is ba
     assert hospital_stats.joint_counts("city", "state") is ab
+
+
+def test_stats_equality_ignores_memos(hospital_stats):
+    """Two stats with the same counts stay equal after one of them has
+    served a pattern read and a reversed joint read."""
+    a, b = (
+        DatasetStats(hospital_stats.n, hospital_stats.attrs, hospital_stats.value_counts, hospital_stats.joint)
+        for _ in range(2)
+    )
+    assert a == b
+    a.pattern_counts("city", "l2")
+    a.joint_counts("state", "city")
+    assert a._pattern_cache and a._reversed_joint
+    assert a == b
 
 
 def test_dependency_mapping_majorities(hospital_stats, hospital_tiny):
