@@ -22,8 +22,9 @@ Table IV configs plus AGC sampling, and Tax at n=2000 under the Fig. 8
 config (``label_rate=0.05``). Then one record per (Table III dataset,
 Table III baseline) at ``REPRO_N`` tuples holds a hash of the baseline's
 mask and its metrics, and FM_ED's also its token usage; the baselines run
-on the ZeroED runner's stats, as Table III runs them. Data and configs use
-seed 3. Run it on two commits and compare the outputs:
+through ``BASELINES``, the same detectors Table III uses, on the ZeroED
+runner. Data and configs use seed 3. Run it on two commits and compare the
+outputs:
 
     PYTHONPATH=src python -m jobs.fingerprint > before.jsonl
     PYTHONPATH=src python -m jobs.fingerprint --compare before.jsonl after.jsonl
@@ -45,7 +46,7 @@ from repro.baselines import fm_ed
 from repro.core.metrics import prf
 from repro.core.zeroed import ZeroEDConfig, ZeroEDRunner, ablation_configs
 from repro.datasets.registry import TABLE3_DATASETS, load_dataset
-from repro.exp.tables import BASELINES, REPRO_N, _run_baseline, get_spark, repro_config
+from repro.exp.tables import BASELINES, REPRO_N, get_spark, repro_config
 
 SEED = 3
 FIG8_N = 2000
@@ -102,13 +103,13 @@ def fingerprint(runner: ZeroEDRunner, name: str, cfg: ZeroEDConfig) -> dict:
     return record
 
 
-def baseline_fingerprint(spark, runner: ZeroEDRunner, method: str) -> dict:
+def baseline_fingerprint(runner: ZeroEDRunner, method: str) -> dict:
     """One Table III baseline's record, run as ``table3_rows`` runs it."""
     ds = runner.ds
-    if method == "FM_ED":
-        mask, usage = fm_ed.detect(spark, ds, seed=SEED)
+    if method == "FM_ED":  # its usage, which the detector drops
+        mask, usage = fm_ed.detect(runner.spark, ds, seed=SEED)
     else:
-        mask, usage = _run_baseline(method, spark, ds, runner.stats, SEED), None
+        mask, usage = BASELINES[method](runner, SEED), None
     record = {
         "dataset": ds.name,
         "n": len(ds.dirty),
@@ -183,7 +184,7 @@ def main() -> None:
         for cfg_name, cfg in configs.items():
             print(json.dumps(fingerprint(runner, cfg_name, cfg)), flush=True)
         for method in baselines:
-            print(json.dumps(baseline_fingerprint(spark, runner, method)), flush=True)
+            print(json.dumps(baseline_fingerprint(runner, method)), flush=True)
     spark.stop()
 
 

@@ -6,12 +6,14 @@ From the repository root, with ``src/`` importable (``PYTHONPATH=src``):
     python -m jobs.run_table <table> [dataset ...]
 
 ``<table>`` is a key of ``repro.exp.tables.TABLES``: table2 … table6 or
-tokens. Datasets narrow Tables III–VI to those datasets; Table II and the
-token study take none. Table II starts no Spark.
+tokens. Datasets (keys of ``repro.datasets.registry.PROFILES``) narrow
+Tables III–VI to those datasets; Table II and the token study take none.
+Table II, and any call with an unknown name, starts no Spark.
 """
 import inspect
 import sys
 
+from repro.datasets.registry import PROFILES
 from repro.exp.tables import TABLES, format_rows, get_spark
 
 USAGE = f"usage: run_table.py {{{','.join(TABLES)}}} [dataset ...]"
@@ -26,6 +28,10 @@ def main(argv: list[str]) -> int:
     params = inspect.signature(table.rows).parameters
     if datasets and "datasets" not in params:
         print(f"{name} takes no datasets\n{USAGE}", file=sys.stderr)
+        return 2
+    unknown = [d for d in datasets if d not in PROFILES]
+    if unknown:
+        print(f"{USAGE}\nunknown dataset(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
     kwargs = {"datasets": datasets} if datasets else {}
     if "spark" in params:

@@ -2,8 +2,9 @@
 
 Each ``tableN_rows`` runs the corresponding experiment at repro scale and
 returns a list of row dicts carrying both our measured numbers and the
-paper's (from :mod:`repro.exp.paper_numbers`). Tables IV–VI are one sweep
-(``_sweep``) over different variant configs. ``TABLES`` names each table's
+paper's (from :mod:`repro.exp.paper_numbers`). Tables III–VI are one sweep
+(``_sweep``) over different variants: ZeroED configs, and in Table III the
+``BASELINES`` detectors beside ZeroED. ``TABLES`` names each table's
 heading, rows call and columns, for the job printout (``format_rows``) and
 EXPERIMENTS.md.
 
@@ -17,6 +18,7 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
+import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines import activeclean, dboost, fm_ed, katara, nadeef, raha
@@ -54,15 +56,6 @@ def get_spark(app: str) -> SparkSession:
     return spark
 
 
-def _measured_vs_paper(m: dict, pp: tuple | None) -> dict:
-    """Measured P/R/F1 beside the paper's ``pp``; None where it has none."""
-    pp = pp or (None, None, None)
-    return {
-        "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
-        "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
-    }
-
-
 def format_rows(rows: list[dict], keys: Sequence[str]) -> str:
     header = " | ".join(f"{k:>12s}" for k in keys)
     lines = [header, "-" * len(header)]
@@ -97,26 +90,62 @@ def table2_rows(seed: int = 0) -> list[dict]:
     return rows
 
 
-# ----------------------------------------------------------------- Table III
+# ------------------------------------------------------- Tables III–VI
 
-BASELINES = ["dBoost", "Nadeef", "Katara", "ActiveClean", "Raha", "FM_ED"]
+# Each Table III baseline as a detector ``(runner, seed) -> mask``. It reads
+# the runner's dataset, and the counting ones its stats, so every method on
+# a dataset shares the runner's one stats pass.
+Detector = Callable[[ZeroEDRunner, int], pd.DataFrame]
+
+BASELINES: dict[str, Detector] = {
+    "dBoost": lambda runner, seed: dboost.detect(runner.ds, runner.stats),
+    "Nadeef": lambda runner, seed: nadeef.detect(runner.ds, runner.stats),
+    "Katara": lambda runner, seed: katara.detect(runner.ds),
+    "ActiveClean": lambda runner, seed: activeclean.detect(runner.ds, seed=seed),
+    "Raha": lambda runner, seed: raha.detect(runner.ds, runner.stats, seed=seed),
+    "FM_ED": lambda runner, seed: fm_ed.detect(runner.spark, runner.ds, seed=seed)[0],
+}
 
 
-def _run_baseline(method: str, spark, ds, stats, seed: int):
-    if method == "dBoost":
-        return dboost.detect(ds, stats)
-    if method == "Nadeef":
-        return nadeef.detect(ds, stats)
-    if method == "Katara":
-        return katara.detect(ds)
-    if method == "ActiveClean":
-        return activeclean.detect(ds, seed=seed)
-    if method == "Raha":
-        return raha.detect(ds, stats, seed=seed)
-    if method == "FM_ED":
-        mask, _usage = fm_ed.detect(spark, ds, seed=seed)
-        return mask
-    raise ValueError(method)
+def _sweep(
+    spark: SparkSession,
+    datasets: Iterable[str],
+    n: int,
+    column: str,
+    variants: dict[str, ZeroEDConfig | Detector],
+    paper_table: dict,
+    seed: int,
+) -> list[dict]:
+    """Run every variant on one ``ZeroEDRunner`` per dataset.
+
+    A variant is a ``ZeroEDConfig``, run on the runner, or a ``BASELINES``
+    detector, called with it. Each row names its variant under ``column``
+    and carries the variant's P/R/F1 beside the paper's
+    ``paper_table[variant][dataset]`` (None where the paper has none), and
+    the variant's ``seconds``, the shared stats pass excluded. The runner's
+    stage cache computes the stages the variants share once per dataset.
+    """
+    rows = []
+    for name in datasets:
+        runner = ZeroEDRunner(spark, load_dataset(name, n=n, seed=seed))
+        runner.stats  # the shared pass, outside every variant's seconds
+        for label, variant in variants.items():
+            t0 = time.perf_counter()
+            if isinstance(variant, ZeroEDConfig):
+                mask = runner.run(variant).mask
+            else:
+                mask = variant(runner, seed)
+            m = prf(mask, runner.ds.error_mask)
+            pp = paper_table[label].get(name) or (None, None, None)
+            rows.append(
+                {
+                    "dataset": name, column: label,
+                    "prec": m["prec"], "rec": m["rec"], "f1": m["f1"],
+                    "paper_prec": pp[0], "paper_rec": pp[1], "paper_f1": pp[2],
+                    "seconds": time.perf_counter() - t0,
+                }
+            )
+    return rows
 
 
 def table3_rows(
@@ -126,56 +155,11 @@ def table3_rows(
     seed: int = 0,
 ) -> list[dict]:
     """P/R/F1 of every method on every dataset (paper Table III)."""
-    methods = methods or BASELINES + ["ZeroED"]
-    rows = []
-    for name in datasets:
-        ds = load_dataset(name, n=REPRO_N, seed=seed)
-        runner = ZeroEDRunner(spark, ds)
-        stats = runner.stats
-        for method in methods:
-            t0 = time.time()
-            if method == "ZeroED":
-                m = runner.run(repro_config(seed)).metrics
-            else:
-                m = prf(_run_baseline(method, spark, ds, stats, seed), ds.error_mask)
-            pp = paper.PAPER_TABLE3.get(method, {}).get(name)
-            rows.append(
-                {
-                    "dataset": name, "method": method,
-                    **_measured_vs_paper(m, pp),
-                    "seconds": time.time() - t0,
-                }
-            )
-    return rows
-
-
-# ------------------------------------------------------- Tables IV, V, VI
-
-
-def _sweep(
-    spark: SparkSession,
-    datasets: Iterable[str],
-    n: int,
-    column: str,
-    variants: dict[str, ZeroEDConfig],
-    paper_table: dict,
-    seed: int,
-) -> list[dict]:
-    """Run every variant config on one ``ZeroEDRunner`` per dataset.
-
-    Each row names its variant under ``column`` and carries the variant's
-    P/R/F1 beside the paper's ``paper_table[variant][dataset]``. The
-    runner's stage cache computes the stages the variants share once per
-    dataset.
-    """
-    rows = []
-    for name in datasets:
-        runner = ZeroEDRunner(spark, load_dataset(name, n=n, seed=seed))
-        for label, cfg in variants.items():
-            m = runner.run(cfg).metrics
-            pp = paper_table[label].get(name)
-            rows.append({"dataset": name, column: label, **_measured_vs_paper(m, pp)})
-    return rows
+    variants = {**BASELINES, "ZeroED": repro_config(seed)}
+    return _sweep(
+        spark, datasets, REPRO_N, "method", {m: variants[m] for m in methods or variants},
+        paper.PAPER_TABLE3, seed,
+    )
 
 
 def table4_rows(

@@ -8,7 +8,7 @@ would: serialized sample tuples and distribution reports — never ground
 truth.
 
 Tiers model the paper's observed quality ordering (Qwen2.5-72b best,
-GPT-4o-mini worst / precision-poor) through three knobs:
+GPT-4o-mini worst / precision-poor) through five knobs:
 
 * ``breadth`` — how many criteria perspectives the model can derive,
 * ``flip`` — deterministic hash-seeded label noise rate,

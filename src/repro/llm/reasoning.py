@@ -103,7 +103,8 @@ def _dependency_criterion(
         ov, v = r.get(other, ""), r.get(attr, "")
         if is_missing(ov) or is_missing(v):
             continue
-        counts.setdefault(ov, {})[v] = counts.setdefault(ov, {}).get(v, 0) + 1
+        dist = counts.setdefault(ov, {})
+        dist[v] = dist.get(v, 0) + 1
     mapping: dict[str, set[str]] = {}
     for ov, dist in counts.items():
         keep = {v for v, c in dist.items() if c >= min_support}

@@ -1,11 +1,13 @@
 """Tests for the experiment harnesses (fast paths only)."""
 import pytest
 
+from repro.baselines import nadeef
+from repro.core.metrics import prf
 from repro.core.zeroed import ZeroEDRunner
-from repro.datasets.registry import PROFILES
+from repro.datasets.registry import PROFILES, load_dataset
 from repro.exp import paper_numbers as paper
 from repro.exp.tables import (
-    BASELINES, _run_baseline, format_rows, repro_config, table2_rows, table3_rows,
+    BASELINES, REPRO_N, format_rows, repro_config, table2_rows, table3_rows,
 )
 
 
@@ -26,6 +28,12 @@ def test_paper_numbers_complete():
     }
     assert len(paper.PAPER_TABLE5) == 5
     assert set(paper.PAPER_TABLE6) == {"random", "agc", "kmeans"}
+
+
+def test_method_registry_follows_paper_table3():
+    """Table III's methods, in the paper's order, are the baselines then
+    ZeroED."""
+    assert [*BASELINES, "ZeroED"] == list(paper.PAPER_TABLE3)
 
 
 def test_repro_config_defaults():
@@ -64,13 +72,30 @@ def test_baselines_start_no_spark_job_after_stats(spark, flights_tiny):
     """Table III runs the baselines on the ZeroED runner's stats: past that
     pass, no baseline starts a Spark job."""
     runner = ZeroEDRunner(spark, flights_tiny)
-    stats = runner.stats
+    runner.stats
     sc = spark.sparkContext
     group = "table3-baselines-after-stats"
     sc.setJobGroup(group, "the Table III baselines past the stats pass", False)
     try:
-        for method in BASELINES:
-            _run_baseline(method, spark, flights_tiny, stats, 0)
+        for detect in BASELINES.values():
+            detect(runner, 0)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+
+
+@pytest.mark.slow
+def test_table3_rows_match_direct_calls(spark):
+    """The shared sweep scores a baseline and ZeroED as direct calls do."""
+    rows = table3_rows(spark, datasets=["flights"], methods=["Nadeef", "ZeroED"])
+    assert [r["method"] for r in rows] == ["Nadeef", "ZeroED"]
+    ds = load_dataset("flights", n=REPRO_N, seed=0)
+    runner = ZeroEDRunner(spark, ds)
+    expected = {
+        "Nadeef": prf(nadeef.detect(ds, runner.stats), ds.error_mask),
+        "ZeroED": runner.run(repro_config(0)).metrics,
+    }
+    for r in rows:
+        m = expected[r["method"]]
+        assert (r["prec"], r["rec"], r["f1"]) == (m["prec"], m["rec"], m["f1"])
+        assert r["seconds"] >= 0

@@ -47,6 +47,16 @@ def test_run_table_unknown_name_prints_usage(form):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("form", RUN_TABLE)
+def test_run_table_unknown_dataset_prints_usage_before_spark(form):
+    out = _run([*RUN_TABLE[form], "table3", "hospitl"], **NO_SPARK)
+    err = out.stderr.decode()
+    assert out.returncode == 2
+    assert err.startswith("usage: run_table.py")
+    assert "hospitl" in err
+    assert "Traceback" not in err
+
+
 def test_render_reproduces_committed_experiments_md():
     out = _run(["jobs/render_experiments.py"], **NO_SPARK)
     assert out.returncode == 0, out.stderr.decode()
